@@ -1,9 +1,11 @@
 //! `obs_overhead`: the observability zero-cost gate. Compares a
-//! probe-free, hand-rolled classification loop (the pre-observability
-//! fast path, built from the same public APIs the executor uses) against
-//! the library path with tracing disabled, then measures what the spans
-//! and events levels add. Classifications must be identical on every
-//! path. With `--smoke` the binary exits non-zero if the tracing-disabled
+//! probe-free, hand-rolled twin of the library's per-image engine (built
+//! from the same public APIs the executor uses: deepest-first fault order,
+//! `forward_from_converging` with the single-unit probe, the cached
+//! lowering and a scratch arena) against the library path running that
+//! same engine (`CampaignConfig { batched: false, ..default }`) with
+//! tracing disabled, then measures what the spans and events levels add.
+//! Classifications and inference counts must be identical on every path. With `--smoke` the binary exits non-zero if the tracing-disabled
 //! library path is more than 2% slower than the probe-free baseline
 //! (used by CI); with `--bench` the comparison is written to
 //! `BENCH_obs.json` at the workspace root.
@@ -25,7 +27,7 @@ use sfi_faultsim::fault::Fault;
 use sfi_faultsim::golden::GoldenReference;
 use sfi_faultsim::injector::{inject_with, revert};
 use sfi_faultsim::population::FaultSpace;
-use sfi_nn::{ForwardOptions, Model};
+use sfi_nn::{ForwardOptions, ForwardOutcome, Model};
 use sfi_obs::{Probe, TraceLevel};
 use sfi_stats::sampling::sample_without_replacement;
 use sfi_tensor::ScratchArena;
@@ -47,21 +49,31 @@ fn bit_level_faults(space: &FaultSpace, per_bit: u64) -> Vec<Fault> {
     faults
 }
 
-/// The pre-observability classification loop, hand-rolled from public
-/// APIs: inject, incremental forward from the dirty node with the cached
-/// lowering and a scratch arena, count mismatches against the golden
-/// top-1 with early exit, revert. No probe anywhere — this is the
-/// baseline the instrumented executor is gated against.
+/// The probe-free twin of the library's per-image engine, hand-rolled
+/// from public APIs: faults run deepest-first (the executor's order while
+/// early exit is on); each is injected, every image re-executes from the
+/// dirty node through `forward_from_converging` with the cached lowering,
+/// a scratch arena and the single-unit probe, mismatches against the
+/// golden top-1 are counted with early exit, and the fault is reverted.
+/// No probe anywhere — this is the baseline the instrumented executor is
+/// gated against. Returns the classes in the caller's fault order and the
+/// total inference count.
 fn classify_probe_free(
     model: &mut Model,
     data: &sfi_dataset::Dataset,
     golden: &GoldenReference,
     faults: &[Fault],
     arena: &mut ScratchArena,
-) -> Vec<FaultClass> {
+) -> (Vec<FaultClass>, u64) {
     let corruption = Ieee754Corruption;
-    let mut classes = Vec::with_capacity(faults.len());
-    for fault in faults {
+    let layers = model.weight_layers();
+    let depth = |f: &Fault| model.node_of_param(layers[f.site.layer].param).unwrap_or(0);
+    let mut order: Vec<usize> = (0..faults.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(depth(&faults[i])));
+    let mut classes = vec![FaultClass::Masked; faults.len()];
+    let mut inferences = 0u64;
+    for i in order {
+        let fault = &faults[i];
         let class = catch_unwind(AssertUnwindSafe(|| {
             let injection =
                 inject_with(model, fault, |f, original| corruption.corrupt(f, original)).unwrap();
@@ -69,16 +81,25 @@ fn classify_probe_free(
                 revert(model, &injection);
                 return FaultClass::Masked;
             }
+            let dirty_unit = model.param_output_unit(injection.param, injection.index);
             let mut mismatches = 0usize;
             let mut failed = false;
             for idx in 0..data.len() {
                 let lowered =
                     golden.lowering(injection.dirty_node, idx).map(|l| (injection.dirty_node, l));
-                let mut opts =
-                    ForwardOptions { arena: Some(&mut *arena), lowered, ..Default::default() };
-                let logits = model
-                    .forward_from_with(injection.dirty_node, golden.cache(idx), &mut opts)
+                let mut opts = ForwardOptions {
+                    arena: Some(&mut *arena),
+                    lowered,
+                    dirty_unit,
+                    ..Default::default()
+                };
+                let out = model
+                    .forward_from_converging(injection.dirty_node, golden.cache(idx), &mut opts)
                     .unwrap();
+                inferences += 1;
+                let ForwardOutcome::Logits(logits) = out else {
+                    continue; // converged: the golden prediction, no mismatch
+                };
                 let Some(pred) = logits.argmax() else {
                     failed = true;
                     break;
@@ -98,9 +119,9 @@ fn classify_probe_free(
             }
         }))
         .unwrap_or(FaultClass::ExecutionFailure);
-        classes.push(class);
+        classes[i] = class;
     }
-    classes
+    (classes, inferences)
 }
 
 /// One campaign through the library path at the given trace level,
@@ -145,7 +166,8 @@ fn workload(per_bit: u64) -> Workload {
         data: setup.data,
         golden,
         faults,
-        cfg: CampaignConfig::default(),
+        // The per-image engine the baseline re-implements; single-worker.
+        cfg: CampaignConfig { batched: false, ..CampaignConfig::default() },
     }
 }
 
@@ -169,13 +191,16 @@ fn measure(per_bit: u64, iters: usize) -> Measurement {
     let (model, data, golden, faults, cfg) = (&w.model, &w.data, &w.golden, &w.faults, &w.cfg);
 
     // Identity first: the instrumented executor must classify exactly as
-    // the probe-free loop does (both single-threaded here).
+    // the probe-free loop does, at the same inference cost (both
+    // single-threaded here).
     let mut scratch_model = model.clone();
     let mut arena = ScratchArena::new();
-    let baseline_classes =
+    let (baseline_classes, baseline_inferences) =
         classify_probe_free(&mut scratch_model, data, golden, faults, &mut arena);
     let library = run_campaign(model, data, golden, faults, cfg).unwrap();
-    let identical = baseline_classes == library.classes;
+    assert_eq!(cfg.workers, 1, "the baseline is single-threaded");
+    let identical =
+        baseline_classes == library.classes && baseline_inferences == library.inferences;
 
     // Interleave the four paths within each round instead of timing each
     // one back to back: slow drift in machine load then hits every path

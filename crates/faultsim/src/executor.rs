@@ -874,10 +874,6 @@ pub(crate) fn needed_for_critical(cfg: &CampaignConfig, total_images: usize) -> 
     }
 }
 
-// The former `DELTA_MIN_SEED_ELEMENTS` runtime floor for the delta-vs-dense
-// choice now lives in the compiled execution plan as a per-node cost-model
-// decision: see [`sfi_nn::CompiledPlan::delta_profitable`].
-
 /// Per-fault classification outcome with early-exit accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct FaultOutcome {
@@ -963,29 +959,10 @@ pub(crate) fn classify_one<C: Corruption>(
     }
     let fast = cfg.kernel == KernelPolicy::Fast;
     // The one output unit (conv out-channel / fc out-feature) the fault
-    // can reach: arms the single-unit convergence/delta seed probe, which
-    // decides whole-node convergence (or seeds the delta mask) from one
-    // GEMM row instead of re-running the faulted layer in full.
-    //
-    // A weight fault dirties an entire output channel, so its delta cone is
-    // wide from the first node; on small feature maps the mask bookkeeping
-    // costs more than it saves. The compiled plan's per-node cost model
-    // decides where delta pays (seed width and remaining suffix cost);
-    // classifications and inference counts are identical either way.
-    //
-    // The bit gate keeps delta on the strata where the cone can stay
-    // narrow: mantissa flips perturb the stored weight by at most one part
-    // in 2^(23-bit), so downstream differences trim against the golden
-    // activations and the dirty mask shrinks. Exponent and sign flips
-    // rescale the whole channel — the cone saturates at the first
-    // downstream conv and the pass degrades to dense-at-extra-bookkeeping,
-    // which is exactly the recorded BENCH_delta regression.
-    let use_delta = cfg.delta
-        && cfg.incremental
-        && fast
-        && fault.site.bit < DELTA_NARROW_BIT_MAX
-        && golden.plan().delta_profitable(injection.dirty_node);
-    let dirty_unit = if (cfg.convergence || cfg.delta || cfg.batched) && cfg.incremental && fast {
+    // can reach: arms the single-unit convergence probe, which decides
+    // whole-node convergence from one GEMM row instead of re-running the
+    // faulted layer in full.
+    let dirty_unit = if cfg.convergence && cfg.incremental && fast {
         model.param_output_unit(injection.param, injection.index)
     } else {
         None
@@ -998,7 +975,7 @@ pub(crate) fn classify_one<C: Corruption>(
     // batching must clear a high bar; mantissa flips rarely mismatch, the
     // loop pays the full per-image bill, and batching only needs to beat
     // it with a small margin.
-    let hedge = if fault.site.bit < DELTA_NARROW_BIT_MAX {
+    let hedge = if fault.site.bit < MANTISSA_BITS {
         BATCHED_HEDGE_CONVERGENT
     } else {
         BATCHED_HEDGE_MISMATCH
@@ -1006,7 +983,6 @@ pub(crate) fn classify_one<C: Corruption>(
     if cfg.batched
         && cfg.incremental
         && fast
-        && !use_delta
         && golden.has_batched()
         && golden.plan().batched_profitable(injection.dirty_node, hedge)
     {
@@ -1028,9 +1004,6 @@ pub(crate) fn classify_one<C: Corruption>(
     let mut inferences = 0u64;
     let mut converged_images = 0u64;
     let mut nodes_skipped = 0u64;
-    let mut delta_sparse_nodes = 0u64;
-    let mut delta_fallbacks = 0u64;
-    let mut delta_dirty_blocks = 0u64;
     let mut mismatches = 0usize;
     let mut failed = false;
     let mut outcome: Result<(), FaultSimError> = Ok(());
@@ -1040,80 +1013,35 @@ pub(crate) fn classify_one<C: Corruption>(
             (true, true) => {
                 let lowered =
                     golden.lowering(injection.dirty_node, idx).map(|l| (injection.dirty_node, l));
-                if use_delta {
-                    // Delta propagation subsumes the convergence probe: the
-                    // delta pass converges exactly when every surviving
-                    // mask has been consumed empty.
-                    let mut dopts = DeltaOptions {
-                        arena: Some(&mut *arena),
-                        lowered,
-                        dirty_unit,
-                        ..Default::default()
-                    };
-                    match model.forward_delta(injection.dirty_node, golden.cache(idx), &mut dopts) {
-                        Ok((out, stats)) => {
-                            delta_sparse_nodes += stats.sparse_nodes;
-                            delta_fallbacks += stats.dense_nodes;
-                            delta_dirty_blocks += stats.dirty_blocks;
-                            wprobe.record_delta(
-                                stats.sparse_nodes,
-                                stats.dense_nodes,
-                                stats.dirty_blocks,
-                            );
-                            match out {
-                                ForwardOutcome::Logits(l) => Ok(l),
-                                ForwardOutcome::Converged { at_node } => {
-                                    // The image's prediction provably
-                                    // equals the golden one.
-                                    wprobe.inference_end(timer);
-                                    inferences += 1;
-                                    converged_images += 1;
-                                    let skipped = (total_nodes - 1 - at_node) as u64;
-                                    nodes_skipped += skipped;
-                                    wprobe.record_convergence(
-                                        at_node + 1 - injection.dirty_node,
-                                        skipped,
-                                    );
-                                    continue;
-                                }
-                            }
+                let mut opts = ForwardOptions {
+                    arena: Some(&mut *arena),
+                    lowered,
+                    dirty_unit,
+                    ..Default::default()
+                };
+                if cfg.convergence {
+                    match model.forward_from_converging(
+                        injection.dirty_node,
+                        golden.cache(idx),
+                        &mut opts,
+                    ) {
+                        Ok(ForwardOutcome::Logits(l)) => Ok(l),
+                        Ok(ForwardOutcome::Converged { at_node }) => {
+                            // The image's prediction provably equals the
+                            // golden one: count the inference, never the
+                            // mismatch, and move to the next image.
+                            wprobe.inference_end(timer);
+                            inferences += 1;
+                            converged_images += 1;
+                            let skipped = (total_nodes - 1 - at_node) as u64;
+                            nodes_skipped += skipped;
+                            wprobe.record_convergence(at_node + 1 - injection.dirty_node, skipped);
+                            continue;
                         }
                         Err(e) => Err(e),
                     }
                 } else {
-                    let mut opts = ForwardOptions {
-                        arena: Some(&mut *arena),
-                        lowered,
-                        dirty_unit,
-                        ..Default::default()
-                    };
-                    if cfg.convergence {
-                        match model.forward_from_converging(
-                            injection.dirty_node,
-                            golden.cache(idx),
-                            &mut opts,
-                        ) {
-                            Ok(ForwardOutcome::Logits(l)) => Ok(l),
-                            Ok(ForwardOutcome::Converged { at_node }) => {
-                                // The image's prediction provably equals the
-                                // golden one: count the inference, never the
-                                // mismatch, and move to the next image.
-                                wprobe.inference_end(timer);
-                                inferences += 1;
-                                converged_images += 1;
-                                let skipped = (total_nodes - 1 - at_node) as u64;
-                                nodes_skipped += skipped;
-                                wprobe.record_convergence(
-                                    at_node + 1 - injection.dirty_node,
-                                    skipped,
-                                );
-                                continue;
-                            }
-                            Err(e) => Err(e),
-                        }
-                    } else {
-                        model.forward_from_with(injection.dirty_node, golden.cache(idx), &mut opts)
-                    }
+                    model.forward_from_with(injection.dirty_node, golden.cache(idx), &mut opts)
                 }
             }
             (true, false) => model.forward_from_with(
@@ -1164,20 +1092,16 @@ pub(crate) fn classify_one<C: Corruption>(
         inferences,
         converged_images,
         nodes_skipped,
-        delta_sparse_nodes,
-        delta_fallbacks,
-        delta_dirty_blocks,
-        engine_dense: u64::from(!use_delta),
-        engine_delta: u64::from(use_delta),
-        engine_batched: 0,
+        engine_dense: 1,
+        ..FaultOutcome::masked()
     })
 }
 
-/// Highest weight-fault bit (exclusive) the delta engine accepts: the 23
-/// IEEE-754 single-precision mantissa bits. See the dispatch comment in
-/// [`classify_one`]; transient activation faults bypass this gate — their
-/// one-element cones stay sparse at any bit.
-const DELTA_NARROW_BIT_MAX: u8 = 23;
+/// Number of IEEE-754 single-precision mantissa bits: weight-fault bits
+/// below it are mantissa flips, which rarely mismatch, and pick
+/// [`BATCHED_HEDGE_CONVERGENT`]; sign and exponent bits pick
+/// [`BATCHED_HEDGE_MISMATCH`] (see [`classify_one`]).
+const MANTISSA_BITS: u8 = 23;
 
 /// Classifies one injected weight fault through the batched eval-image
 /// engine: the dirty suffix of **all** E images runs as a single pass over
@@ -1221,7 +1145,7 @@ fn classify_weight_batched(
         dirty_node,
         bcache,
         lowered,
-        if cfg.convergence { dirty_unit } else { None },
+        dirty_unit,
         cfg.convergence,
         arena,
     )?;

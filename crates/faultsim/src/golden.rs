@@ -150,8 +150,8 @@ impl GoldenReference {
     /// Builds the batched golden state: stacks the E eval images into one
     /// input, runs the fault-free model once over the stack, and measures
     /// the plan's per-node engine calibration against the fresh caches
-    /// (switching `delta_profitable`/`batched_profitable` from static flop
-    /// thresholds to measured costs — see
+    /// (switching `batched_profitable` from a static flop threshold to
+    /// measured costs — see
     /// [`CompiledPlan::calibrate`]). The batched activations are
     /// bit-identical, image by image, to the per-image caches (every
     /// operator treats the batch dimension independently), so the batched

@@ -1,13 +1,12 @@
-//! Sparse delta-propagation faulty inference.
+//! Sparse delta-propagation faulty inference for transient faults.
 //!
-//! A stuck-at weight fault perturbs exactly one output unit of one node;
-//! everything else that first node produces is bit-golden. Instead of
-//! re-running the dense suffix ([`Model::forward_from`]) or probing for
-//! whole-node convergence ([`Model::forward_from_converging`]), the delta
-//! pass represents every faulty activation as *golden + delta*: the full
-//! tensor is materialized, but a [`DirtyMask`] records which per-channel,
-//! per-spatial-block regions may differ bitwise from the golden run. Each
-//! node then:
+//! A transient activation (or input) upset corrupts exactly one element of
+//! one node's activation; everything else that node holds is bit-golden.
+//! Instead of re-running the dense suffix ([`Model::forward_patched_with`]),
+//! the delta pass represents every faulty activation as *golden + delta*:
+//! the full tensor is materialized, but a [`DirtyMask`] records which
+//! per-channel, per-spatial-block regions may differ bitwise from the
+//! golden run. Each node then:
 //!
 //! 1. computes a conservative **candidate** mask from its inputs' masks and
 //!    the operator's receptive-field geometry (a conv dilates spatial
@@ -27,10 +26,16 @@
 //!    the mask, so outcomes are identical at any worker count).
 //!
 //! An empty mask ⇔ the activation is provably bit-golden, so the pass
-//! inherits the golden-convergence early exit for free: masked faults cost
-//! one seed probe and zero per-node work downstream.
+//! inherits the golden-convergence early exit for free: an absorbed upset
+//! costs zero per-node work downstream of the node where its delta died.
+//!
+//! Weight faults do not use this engine: a faulted weight dirties a whole
+//! output channel, so its cone saturates at the first downstream conv and
+//! the pass degrades to dense evaluation plus mask bookkeeping. They run
+//! the dense converging pass ([`Model::forward_from_converging`]) or the
+//! batched eval-image engine instead.
 
-use sfi_tensor::ops::{self, Conv2dCfg, LoweredConv, Padding};
+use sfi_tensor::ops::{self, Conv2dCfg, Padding};
 use sfi_tensor::{DirtyMask, ScratchArena, Tensor, DIRTY_BLOCK};
 
 use crate::model::{ActivationCache, ForwardOutcome};
@@ -39,25 +44,18 @@ use crate::{Model, NnError, NodeId, NodeOp, ParamId};
 /// Default [`DeltaOptions::saturation`] threshold: when a node's candidate
 /// dirty region covers at least this fraction of its blocks, the scalar
 /// sparse kernels lose to the blocked dense path and the node is evaluated
-/// densely. 0.125 was tuned on the full-scale bit-level ResNet-20 campaign
-/// (`benches/delta.rs --smoke --scale full`): lower thresholds give up the
-/// sparse wins on low-bit faults, higher ones drag scalar kernels through
-/// near-dense cones.
+/// densely. It governs the cones of transient faults, which
+/// `benches/transient.rs` measures against dense suffix re-execution
+/// (BENCH_transient.json): lower thresholds give up sparse wins on cones
+/// that stay narrow, higher ones drag scalar kernels through near-dense
+/// cones.
 pub const DELTA_SATURATION_DEFAULT: f64 = 0.125;
 
-/// Per-caller state threaded through [`Model::forward_delta`].
+/// Per-caller state threaded through [`Model::forward_delta_site`].
 pub struct DeltaOptions<'a> {
     /// Scratch arena for materialized activations; recycled when the pass
     /// converges.
     pub arena: Option<&'a mut ScratchArena>,
-    /// Pre-lowered im2col panels for the *first dirty* conv node (lowered
-    /// from its golden input, which is exactly what incremental
-    /// re-execution feeds it).
-    pub lowered: Option<(NodeId, &'a LoweredConv)>,
-    /// Output unit of the first dirty node the fault can reach (see
-    /// [`Model::param_output_unit`]); seeds the delta from a single-unit
-    /// kernel instead of a dense node evaluation.
-    pub dirty_unit: Option<usize>,
     /// Dense-fallback threshold on the candidate mask's dirty fraction, in
     /// `[0, 1]`. A node whose candidate fraction is `>=` this value is
     /// evaluated densely. `0.0` forces every node dense; `1.0` (or more)
@@ -67,14 +65,15 @@ pub struct DeltaOptions<'a> {
 
 impl Default for DeltaOptions<'_> {
     fn default() -> Self {
-        Self { arena: None, lowered: None, dirty_unit: None, saturation: DELTA_SATURATION_DEFAULT }
+        Self { arena: None, saturation: DELTA_SATURATION_DEFAULT }
     }
 }
 
-/// Work counters of one [`Model::forward_delta`] pass.
+/// Work counters of one [`Model::forward_delta_site`] pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeltaStats {
-    /// Nodes recomputed through the sparse (dirty-cone) kernels.
+    /// Nodes recomputed through the sparse (dirty-cone) kernels, plus the
+    /// corrupted seed node.
     pub sparse_nodes: u64,
     /// Nodes that saturated past the threshold and fell back to the dense
     /// kernel.
@@ -100,51 +99,15 @@ struct DeltaState {
 }
 
 impl Model {
-    /// Incremental faulty inference by sparse delta propagation.
-    ///
-    /// Bit-identical to [`Model::forward_from`] / the dense
-    /// [`Model::forward_from_converging`] pass in every observable way:
-    /// returned logits carry the exact bits dense recomputation would
-    /// produce, and [`ForwardOutcome::Converged`] is returned only when the
-    /// skipped suffix is provably bit-golden (same live-dirty bookkeeping
-    /// as the converging pass, with "dirty" ⇔ "mask nonempty").
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Model::forward_from`].
-    pub fn forward_delta(
-        &self,
-        first_dirty: NodeId,
-        cache: &ActivationCache,
-        opts: &mut DeltaOptions<'_>,
-    ) -> Result<(ForwardOutcome, DeltaStats), NnError> {
-        if cache.len() != self.nodes().len() {
-            return Err(NnError::CacheMismatch {
-                reason: format!(
-                    "cache holds {} activations, model has {} nodes",
-                    cache.len(),
-                    self.nodes().len()
-                ),
-            });
-        }
-        let mut stats = DeltaStats::default();
-        let first_dirty = first_dirty.max(1);
-        let n_nodes = self.nodes().len();
-        if first_dirty >= n_nodes {
-            let logits = cache.get(n_nodes - 1).expect("nonempty").clone();
-            return Ok((ForwardOutcome::Logits(logits), stats));
-        }
-        match self.delta_seed(first_dirty, cache, opts, &mut stats)? {
-            None => {
-                stats.clean_nodes += 1;
-                Ok((ForwardOutcome::Converged { at_node: first_dirty }, stats))
-            }
-            Some(state) => self.delta_run(first_dirty, cache, state, opts, stats),
-        }
-    }
-
     /// Incremental faulty inference from a single corrupted activation
     /// element — the transient-fault injection hook.
+    ///
+    /// Bit-identical to [`Model::forward_patched_with`] in every observable
+    /// way: returned logits carry the exact bits dense recomputation would
+    /// produce, and [`ForwardOutcome::Converged`] is returned only when the
+    /// skipped suffix is provably bit-golden (same live-dirty bookkeeping
+    /// as [`Model::forward_from_converging`], with "dirty" ⇔ "mask
+    /// nonempty").
     ///
     /// The seed is not recomputed at all: the golden activation of `node` is
     /// cloned, its flat `element` is replaced by `faulty_bits`, and the
@@ -209,11 +172,9 @@ impl Model {
         self.delta_run(node, cache, DeltaState { value, mask, saturated }, opts, stats)
     }
 
-    /// Propagates an already-seeded delta state through the suffix after
-    /// `first_dirty`. Shared by the weight-fault ([`Model::forward_delta`])
-    /// and activation-site ([`Model::forward_delta_site`]) entry points;
-    /// `first_dirty` may be `0` here (input faults), in which case node 0's
-    /// state is the patched input itself.
+    /// Propagates the seeded delta state of node `first_dirty` through the
+    /// suffix after it. `first_dirty` may be `0` (input faults), in which
+    /// case node 0's state is the patched input itself.
     fn delta_run(
         &self,
         first_dirty: NodeId,
@@ -279,113 +240,6 @@ impl Model {
         Ok((ForwardOutcome::Logits(out), stats))
     }
 
-    /// Seeds the delta at the first dirty node (faulty weights, golden
-    /// inputs). Returns `None` when the node's activation is provably
-    /// bit-golden — the fault is masked at its own node.
-    fn delta_seed(
-        &self,
-        id: NodeId,
-        cache: &ActivationCache,
-        opts: &mut DeltaOptions<'_>,
-        stats: &mut DeltaStats,
-    ) -> Result<Option<DeltaState>, NnError> {
-        let node = &self.nodes()[id];
-        let param = |p: ParamId| &self.store().get(p).expect("validated at construction").tensor;
-        let wrap = |source| NnError::Op { node: id, source };
-        let golden = cache.get(id).expect("cache covers model");
-        // Single-unit seed: a weight fault reaches one output unit; every
-        // other unit recomputes from golden inputs and golden weight rows,
-        // hence stays bit-golden without being computed.
-        let unit_vals: Option<Vec<f32>> = match (&node.op, opts.dirty_unit) {
-            (NodeOp::Conv { weight, bias, .. }, Some(unit)) => match opts.lowered {
-                Some((ln, low)) if ln == id && unit < param(*weight).shape().n() => Some(
-                    ops::conv2d_channel_from_lowered(
-                        low,
-                        param(*weight),
-                        bias.map(&param),
-                        unit,
-                        opts.arena.as_deref_mut(),
-                    )
-                    .map_err(wrap)?,
-                ),
-                _ => None,
-            },
-            (NodeOp::Linear { weight, bias }, Some(unit))
-                if unit < param(*weight).shape().dims()[0] =>
-            {
-                let xv = cache.get(node.inputs[0]).expect("cache covers model");
-                let reshaped;
-                let x2 = if xv.shape().rank() == 2 {
-                    xv
-                } else {
-                    let n = xv.shape().dims()[0];
-                    let rest = xv.len() / n;
-                    reshaped = xv.reshape([n, rest]).map_err(wrap)?;
-                    &reshaped
-                };
-                Some(ops::linear_row(x2, param(*weight), bias.map(&param), unit).map_err(wrap)?)
-            }
-            _ => None,
-        };
-        if let Some(vals) = unit_vals {
-            let unit = opts.dirty_unit.expect("unit seed requires dirty_unit");
-            let shape = golden.shape();
-            let dims = shape.dims();
-            let (batch, units) = (dims[0], dims[1]);
-            let chunk: usize = dims[2..].iter().product();
-            let g = golden.as_slice();
-            let clean = (0..batch).all(|n| {
-                let gs = &g[(n * units + unit) * chunk..][..chunk];
-                let vs = &vals[n * chunk..][..chunk];
-                gs.iter().zip(vs).all(|(a, b)| a.to_bits() == b.to_bits())
-            });
-            if clean {
-                if let Some(a) = opts.arena.as_deref_mut() {
-                    a.recycle(vals);
-                }
-                return Ok(None);
-            }
-            stats.sparse_nodes += 1;
-            let mut data = golden_copy(golden, opts.arena.as_deref_mut());
-            let mut mask = DirtyMask::for_shape(shape).map_err(wrap)?;
-            for n in 0..batch {
-                let dst = &mut data[(n * units + unit) * chunk..][..chunk];
-                dst.copy_from_slice(&vals[n * chunk..][..chunk]);
-                mask.mark_plane_bitdiff(
-                    n * units + unit,
-                    &g[(n * units + unit) * chunk..][..chunk],
-                    dst,
-                );
-            }
-            if let Some(a) = opts.arena.as_deref_mut() {
-                a.recycle(vals);
-            }
-            let value = Tensor::from_vec(shape, data).expect("golden-shaped buffer");
-            let saturated = mask.dirty_fraction() >= opts.saturation;
-            return Ok(Some(DeltaState { value, mask, saturated }));
-        }
-        // Dense seed: inputs are golden, so the cached lowering (when it
-        // names this node) is sound here.
-        stats.dense_nodes += 1;
-        let lowered = match opts.lowered {
-            Some((ln, low)) if ln == id => Some(low),
-            _ => None,
-        };
-        let x0 = cache.get(node.inputs.first().copied().unwrap_or(0)).expect("cache covers model");
-        let x1 = node.inputs.get(1).map(|&i| cache.get(i).expect("cache covers model"));
-        let value = self.eval_node_dense(id, x0, x1, lowered, opts.arena.as_deref_mut())?;
-        let mask = DirtyMask::from_bitdiff(golden.shape(), golden.as_slice(), value.as_slice())
-            .map_err(wrap)?;
-        if mask.is_empty() {
-            if let Some(a) = opts.arena.as_deref_mut() {
-                a.recycle(value.into_vec());
-            }
-            return Ok(None);
-        }
-        let saturated = mask.dirty_fraction() >= opts.saturation;
-        Ok(Some(DeltaState { value, mask, saturated }))
-    }
-
     /// Evaluates one downstream node of the delta pass: clean inputs ⇒ no
     /// work; otherwise candidate geometry, then sparse recompute + trim or
     /// dense fallback past the saturation threshold.
@@ -428,7 +282,7 @@ impl Model {
             // exactly the dense early-exit cost once the cone has gone dense.
             stats.dense_nodes += 1;
             let value =
-                self.eval_node_dense(id, x0.0, x1.map(|x| x.0), None, opts.arena.as_deref_mut())?;
+                self.eval_node_dense(id, x0.0, x1.map(|x| x.0), opts.arena.as_deref_mut())?;
             if value.bits_equal(golden) {
                 if let Some(a) = opts.arena.as_deref_mut() {
                     a.recycle(value.into_vec());
@@ -447,7 +301,7 @@ impl Model {
         let (value, mask) = if cand.dirty_fraction() >= opts.saturation {
             stats.dense_nodes += 1;
             let value =
-                self.eval_node_dense(id, x0.0, x1.map(|x| x.0), None, opts.arena.as_deref_mut())?;
+                self.eval_node_dense(id, x0.0, x1.map(|x| x.0), opts.arena.as_deref_mut())?;
             if value.bits_equal(golden) {
                 if let Some(a) = opts.arena.as_deref_mut() {
                     a.recycle(value.into_vec());
@@ -482,7 +336,6 @@ impl Model {
         id: NodeId,
         x0: &Tensor,
         x1: Option<&Tensor>,
-        lowered: Option<&LoweredConv>,
         arena: Option<&mut ScratchArena>,
     ) -> Result<Tensor, NnError> {
         let node = &self.nodes()[id];
@@ -493,12 +346,9 @@ impl Model {
             NodeOp::Conv { weight, bias, cfg } => {
                 let w = param(*weight);
                 let b = bias.map(&param);
-                match lowered {
-                    Some(low) => ops::conv2d_from_lowered(low, w, b, arena).map_err(wrap)?,
-                    None => match arena {
-                        Some(a) => ops::conv2d_with(x0, w, b, *cfg, a).map_err(wrap)?,
-                        None => ops::conv2d(x0, w, b, *cfg).map_err(wrap)?,
-                    },
+                match arena {
+                    Some(a) => ops::conv2d_with(x0, w, b, *cfg, a).map_err(wrap)?,
+                    None => ops::conv2d(x0, w, b, *cfg).map_err(wrap)?,
                 }
             }
             NodeOp::BatchNorm { gamma, beta, mean, var, eps } => {
@@ -1051,8 +901,27 @@ fn sparse_conv(
 
 #[cfg(test)]
 mod tests {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    use sfi_tensor::Shape;
+
     use super::*;
     use crate::{Node, ParamKind, ParameterStore};
+
+    /// Payloads a bit-level upset can leave behind: quiet and signalling
+    /// NaNs with distinct payloads and signs, ±Inf, the largest finite
+    /// magnitude, and a negative subnormal.
+    const SPECIALS: [u32; 8] = [
+        0x7fc0_0000,
+        0x7fc0_1234,
+        0x7f80_0001,
+        0xffc0_0007,
+        0x7f80_0000,
+        0xff80_0000,
+        0x7f7f_ffff,
+        0x8000_0001,
+    ];
 
     fn bits_eq(a: &Tensor, b: &Tensor) -> bool {
         a.shape() == b.shape()
@@ -1083,49 +952,33 @@ mod tests {
         Model::new("tiny", nodes, store, vec![1, 4, 4]).unwrap()
     }
 
-    /// Runs forward_delta (with the given saturation) and asserts the
-    /// outcome is indistinguishable from dense forward_from: bit-identical
-    /// logits on divergence, bit-golden final activation on convergence.
-    fn assert_delta_exact(
-        faulty: &Model,
-        first_dirty: NodeId,
+    /// Strikes `element` of node `node` with `faulty_bits` through
+    /// `forward_delta_site` (at the given saturation) and asserts the
+    /// outcome is indistinguishable from the dense patched forward:
+    /// bit-identical logits on divergence, bit-golden dense logits on
+    /// convergence, and the same outcome and work without a scratch arena.
+    fn assert_site_exact(
+        m: &Model,
+        node: NodeId,
+        element: usize,
+        faulty_bits: u32,
         cache: &ActivationCache,
-        dirty_unit: Option<usize>,
         saturation: f64,
         ctx: &str,
     ) -> (ForwardOutcome, DeltaStats) {
-        let input = cache.get(0).unwrap();
-        let lowered = match &faulty.nodes()[first_dirty].op {
-            NodeOp::Conv { weight, cfg, .. }
-                if ops::conv2d_uses_lowering(
-                    input,
-                    &faulty.store().get(*weight).unwrap().tensor,
-                    *cfg,
-                ) =>
-            {
-                Some(
-                    ops::im2col_lower(
-                        cache.get(first_dirty - 1).unwrap_or(input),
-                        &faulty.store().get(*weight).unwrap().tensor,
-                        *cfg,
-                    )
-                    .unwrap(),
-                )
-            }
-            _ => None,
-        };
-        let dense = faulty.forward_from(first_dirty, cache).unwrap();
+        let dense = m
+            .forward_patched(node, cache, |t| {
+                t.as_mut_slice()[element] = f32::from_bits(faulty_bits)
+            })
+            .unwrap();
         let mut arena = ScratchArena::new();
-        let (out, stats) = faulty
-            .forward_delta(
-                first_dirty,
+        let (out, stats) = m
+            .forward_delta_site(
+                node,
+                element,
+                faulty_bits,
                 cache,
-                &mut DeltaOptions {
-                    arena: Some(&mut arena),
-                    lowered: lowered.as_ref().map(|l| (first_dirty, l)),
-                    dirty_unit,
-                    saturation,
-                },
+                &mut DeltaOptions { arena: Some(&mut arena), saturation },
             )
             .unwrap();
         match &out {
@@ -1137,26 +990,52 @@ mod tests {
                 assert!(bits_eq(&dense, golden), "{ctx}: spurious convergence at node {at_node}");
             }
         }
-        // No-arena run must agree with the arena run exactly.
-        let (out2, _) = faulty
-            .forward_delta(
-                first_dirty,
+        let (plain, plain_stats) = m
+            .forward_delta_site(
+                node,
+                element,
+                faulty_bits,
                 cache,
-                &mut DeltaOptions {
-                    lowered: lowered.as_ref().map(|l| (first_dirty, l)),
-                    dirty_unit,
-                    saturation,
-                    ..Default::default()
-                },
+                &mut DeltaOptions { saturation, ..Default::default() },
             )
             .unwrap();
-        match (&out, &out2) {
+        match (&out, &plain) {
             (ForwardOutcome::Logits(a), ForwardOutcome::Logits(b)) => {
                 assert!(bits_eq(a, b), "{ctx}: arena changed the bits");
             }
             (a, b) => assert_eq!(a, b, "{ctx}: arena changed the outcome"),
         }
+        assert_eq!(stats, plain_stats, "{ctx}: arena changed the work");
         (out, stats)
+    }
+
+    /// Element 0 (inside every output's receptive field at the origin) plus
+    /// `n` seeded random elements of node `node`'s activation.
+    fn sites(cache: &ActivationCache, node: NodeId, seed: u64, n: usize) -> Vec<usize> {
+        let len = cache.get(node).unwrap().len();
+        let mut rng = StdRng::seed_from_u64(seed ^ node as u64);
+        std::iter::once(0).chain((0..n).map(|_| rng.gen_range(0..len))).collect()
+    }
+
+    /// [`SPECIALS`] plus a sign flip and a low-mantissa flip of the golden
+    /// value at the site.
+    fn payloads(golden: f32) -> Vec<u32> {
+        let g = golden.to_bits();
+        SPECIALS.iter().copied().chain([g ^ (1 << 31), g ^ (1 << 3)]).collect()
+    }
+
+    /// Strikes seeded random sites of every node with every payload and
+    /// asserts each strike exact.
+    fn assert_all_sites_exact(m: &Model, cache: &ActivationCache, saturation: f64, tag: &str) {
+        for node in 0..cache.len() {
+            for element in sites(cache, node, 0x5eed, 3) {
+                let golden = cache.get(node).unwrap().as_slice()[element];
+                for bits in payloads(golden) {
+                    let ctx = format!("{tag}: node {node} element {element} bits {bits:#010x}");
+                    assert_site_exact(m, node, element, bits, cache, saturation, &ctx);
+                }
+            }
+        }
     }
 
     #[test]
@@ -1164,61 +1043,59 @@ mod tests {
         let m = tiny_model();
         let input = Tensor::from_fn([2, 1, 4, 4], |i| (i as f32).sin());
         let cache = m.forward_cached(&input).unwrap();
-        let mut faulty = m.clone();
-        faulty.store_mut().get_mut(0).unwrap().tensor.as_mut_slice()[0] += 100.0;
-        let unit = faulty.param_output_unit(0, 0);
-        let (out, stats) = assert_delta_exact(&faulty, 1, &cache, unit, 0.95, "diverging conv");
+        let bits = (cache.get(1).unwrap().as_slice()[0] + 100.0).to_bits();
+        let (out, stats) = assert_site_exact(&m, 1, 0, bits, &cache, 0.95, "diverging conv");
         assert!(matches!(out, ForwardOutcome::Logits(_)));
-        assert!(stats.sparse_nodes > 0, "seed must be sparse: {stats:?}");
+        assert!(stats.sparse_nodes > 1, "the cone must run sparse: {stats:?}");
         assert!(stats.dirty_blocks > 0);
     }
 
     #[test]
     fn zero_delta_fast_path_does_no_per_node_work() {
-        // All-zero input: every conv product is 0.0 * w, so a finite weight
-        // change leaves the channel bit-identical. The unit seed proves the
-        // mask empty and the pass stops without touching any other node.
+        // A negative conv output made more negative: the ReLU clamps both
+        // values to zero, the recomputed delta trims to empty, and the pass
+        // stops there without touching any other node.
         let m = tiny_model();
-        let input = Tensor::zeros([1, 1, 4, 4]);
+        let input = Tensor::from_fn([1, 1, 4, 4], |i| (i as f32 * 0.3).cos());
         let cache = m.forward_cached(&input).unwrap();
-        let mut faulty = m.clone();
-        faulty.store_mut().get_mut(0).unwrap().tensor.as_mut_slice()[13] *= 1.5;
-        let (out, stats) =
-            assert_delta_exact(&faulty, 1, &cache, Some(1), DELTA_SATURATION_DEFAULT, "masked");
-        assert_eq!(out, ForwardOutcome::Converged { at_node: 1 });
+        let conv = cache.get(1).unwrap().as_slice();
+        let element = conv.iter().position(|&v| v < 0.0).expect("a negative conv output");
+        let bits = (conv[element] * 2.0).to_bits();
+        let (out, stats) = assert_site_exact(&m, 1, element, bits, &cache, 0.95, "masked");
+        assert_eq!(out, ForwardOutcome::Converged { at_node: 2 });
         assert_eq!(
             stats,
-            DeltaStats { sparse_nodes: 0, dense_nodes: 0, clean_nodes: 1, dirty_blocks: 0 },
-            "a masked fault must do zero per-node work"
+            DeltaStats { sparse_nodes: 2, dense_nodes: 0, clean_nodes: 1, dirty_blocks: 1 },
+            "a delta that dies at the ReLU must do no work downstream"
         );
     }
 
     #[test]
     fn saturation_boundary_at_threshold_goes_dense() {
-        // A whole-channel conv fault makes the ReLU candidate fraction
-        // exactly 0.5 (one of two channels fully dirty). saturation == that
-        // fraction must fall back dense (>=); just above keeps it sparse.
-        // Classifications stay bit-identical either way.
+        // One struck conv element dirties one of two 4x4 planes, so the
+        // seed and the ReLU candidate fractions are exactly 0.5.
+        // saturation == that fraction must fall back dense (>=); just above
+        // keeps it sparse. Classifications stay bit-identical either way.
         let m = tiny_model();
         let input = Tensor::from_fn([1, 1, 4, 4], |i| (i as f32).cos());
         let cache = m.forward_cached(&input).unwrap();
-        let mut faulty = m.clone();
-        faulty.store_mut().get_mut(0).unwrap().tensor.as_mut_slice()[0] = 7.0;
-        let (_, at) = assert_delta_exact(&faulty, 1, &cache, Some(0), 0.5, "at threshold");
-        let (_, over) = assert_delta_exact(&faulty, 1, &cache, Some(0), 0.5001, "over threshold");
+        let bits = 7.0f32.to_bits();
+        let (_, at) = assert_site_exact(&m, 1, 0, bits, &cache, 0.5, "at threshold");
+        let (_, over) = assert_site_exact(&m, 1, 0, bits, &cache, 0.5001, "over threshold");
         assert!(at.dense_nodes > over.dense_nodes, "at: {at:?}, over: {over:?}");
         assert!(over.sparse_nodes > at.sparse_nodes, "at: {at:?}, over: {over:?}");
         // saturation 0.0 forces every dirty node dense; 1.1 keeps all sparse.
-        let (_, all_dense) = assert_delta_exact(&faulty, 1, &cache, Some(0), 0.0, "all dense");
-        assert_eq!(all_dense.sparse_nodes, 1, "only the unit seed stays sparse: {all_dense:?}");
-        let (_, all_sparse) = assert_delta_exact(&faulty, 1, &cache, Some(0), 1.1, "all sparse");
+        let (_, all_dense) = assert_site_exact(&m, 1, 0, bits, &cache, 0.0, "all dense");
+        assert_eq!(all_dense.sparse_nodes, 1, "only the seed stays sparse: {all_dense:?}");
+        let (_, all_sparse) = assert_site_exact(&m, 1, 0, bits, &cache, 1.1, "all sparse");
         assert_eq!(all_sparse.dense_nodes, 0, "{all_sparse:?}");
     }
 
     #[test]
     fn delta_through_stride2_and_grouped_conv() {
-        // conv(2->4, stride 2, groups 2) -> relu -> gap -> linear; fault in
-        // the first conv so the delta crosses the strided grouped geometry.
+        // conv(1->2) -> relu -> conv(2->4, stride 2, groups 2) -> relu ->
+        // gap -> linear; sites upstream of the strided grouped conv send
+        // their cones across its geometry.
         let mut store = ParameterStore::new();
         let w0 = store.push(
             "conv1.weight",
@@ -1250,18 +1127,10 @@ mod tests {
         let m = Model::new("strided", nodes, store, vec![1, 8, 8]).unwrap();
         let input = Tensor::from_fn([2, 1, 8, 8], |i| ((i * 3) % 7) as f32 * 0.2 - 0.5);
         let cache = m.forward_cached(&input).unwrap();
-        for (idx, val) in [(0usize, 5.0f32), (4, f32::NAN), (10, -9.0)] {
-            let mut faulty = m.clone();
-            faulty.store_mut().get_mut(0).unwrap().tensor.as_mut_slice()[idx] = val;
-            let unit = faulty.param_output_unit(0, idx);
-            assert_delta_exact(&faulty, 1, &cache, unit, 0.95, &format!("w0[{idx}]={val}"));
-        }
-        // Fault inside the grouped conv itself: seeds at node 3 from its
-        // golden (recomputed-prefix) input.
-        let mut faulty = m.clone();
-        faulty.store_mut().get_mut(1).unwrap().tensor.as_mut_slice()[11] = f32::INFINITY;
-        let unit = faulty.param_output_unit(1, 11);
-        assert_delta_exact(&faulty, 3, &cache, unit, 0.95, "grouped conv fault");
+        assert_all_sites_exact(&m, &cache, 0.95, "strided grouped");
+        // A site on the grouped conv's input must reach it sparsely.
+        let (_, stats) = assert_site_exact(&m, 2, 0, 5.0f32.to_bits(), &cache, 1.1, "into conv");
+        assert!(stats.sparse_nodes >= 2, "the grouped conv must run sparse: {stats:?}");
     }
 
     #[test]
@@ -1302,11 +1171,9 @@ mod tests {
         let m = Model::new("dw", nodes, store, vec![1, 6, 6]).unwrap();
         let input = Tensor::from_fn([1, 1, 6, 6], |i| (i as f32 * 0.7).sin());
         let cache = m.forward_cached(&input).unwrap();
-        let mut faulty = m.clone();
-        faulty.store_mut().get_mut(0).unwrap().tensor.as_mut_slice()[2] = -4.0;
-        let unit = faulty.param_output_unit(0, 2);
-        let (_, stats) = assert_delta_exact(&faulty, 1, &cache, unit, 0.95, "through depthwise");
-        assert!(stats.sparse_nodes > 0);
+        assert_all_sites_exact(&m, &cache, 0.95, "depthwise");
+        let (_, stats) = assert_site_exact(&m, 2, 0, (-4.0f32).to_bits(), &cache, 1.1, "into dw");
+        assert!(stats.sparse_nodes >= 2, "the depthwise conv must run sparse: {stats:?}");
     }
 
     #[test]
@@ -1337,13 +1204,13 @@ mod tests {
         let m = Model::new("skip", nodes, store, vec![1, 4, 4]).unwrap();
         let input = Tensor::full([1, 1, 4, 4], -1.0);
         let cache = m.forward_cached(&input).unwrap();
-        let mut faulty = m.clone();
-        faulty.store_mut().get_mut(0).unwrap().tensor.as_mut_slice()[13] *= 1.5;
-        // Sanity: the trap is live — ReLU golden, conv dirty.
-        let refreshed = faulty.forward_cached(&input).unwrap();
-        assert!(refreshed.get(2).unwrap().bits_equal(cache.get(2).unwrap()));
-        assert!(!refreshed.get(1).unwrap().bits_equal(cache.get(1).unwrap()));
-        let (out, stats) = assert_delta_exact(&faulty, 1, &cache, Some(1), 0.95, "skip remerge");
+        assert_all_sites_exact(&m, &cache, 0.95, "skip");
+        // The trap: a negative conv output made more negative stays clamped
+        // to zero by the ReLU while the conv branch itself stays dirty.
+        let conv = cache.get(1).unwrap().as_slice();
+        let element = conv.iter().position(|&v| v < 0.0).expect("a negative conv output");
+        let bits = (conv[element] * 1.5).to_bits();
+        let (out, stats) = assert_site_exact(&m, 1, element, bits, &cache, 0.95, "skip remerge");
         assert!(
             matches!(out, ForwardOutcome::Logits(_)),
             "must not converge past a live dirty skip input"
@@ -1356,53 +1223,84 @@ mod tests {
         let m = tiny_model();
         let input = Tensor::from_fn([2, 1, 4, 4], |i| (i as f32 * 0.3).cos());
         let cache = m.forward_cached(&input).unwrap();
-        for val in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 3.4e38, -1.2e-38] {
-            let mut faulty = m.clone();
-            faulty.store_mut().get_mut(0).unwrap().tensor.as_mut_slice()[4] = val;
-            let unit = faulty.param_output_unit(0, 4);
-            let sparse =
-                assert_delta_exact(&faulty, 1, &cache, unit, 1.1, &format!("sparse {val}"));
-            let dense = assert_delta_exact(&faulty, 1, &cache, unit, 0.0, &format!("dense {val}"));
-            match (&sparse.0, &dense.0) {
-                (ForwardOutcome::Logits(a), ForwardOutcome::Logits(b)) => {
-                    assert!(bits_eq(a, b), "saturation policy changed the bits for {val}");
+        for node in 0..cache.len() {
+            for element in sites(&cache, node, 0xf00d, 2) {
+                let golden = cache.get(node).unwrap().as_slice()[element];
+                for bits in payloads(golden) {
+                    let ctx = format!("node {node} element {element} bits {bits:#010x}");
+                    let sparse = assert_site_exact(&m, node, element, bits, &cache, 1.1, &ctx);
+                    let dense = assert_site_exact(&m, node, element, bits, &cache, 0.0, &ctx);
+                    match (&sparse.0, &dense.0) {
+                        (ForwardOutcome::Logits(a), ForwardOutcome::Logits(b)) => {
+                            assert!(bits_eq(a, b), "{ctx}: saturation policy changed the bits");
+                        }
+                        (a, b) => assert_eq!(a, b, "{ctx}: saturation policy changed the outcome"),
+                    }
                 }
-                (a, b) => assert_eq!(a, b, "saturation policy changed the outcome for {val}"),
             }
         }
     }
 
     #[test]
-    fn seed_without_unit_probe_is_exact() {
-        // No dirty_unit and no lowering: the seed falls back to a dense
-        // node evaluation plus a full bit-diff.
-        let m = tiny_model();
-        let input = Tensor::from_fn([1, 1, 4, 4], |i| (i as f32).sin());
+    fn every_sparse_kernel_runs_bitwise_exact() {
+        // One graph holding every operator the delta pass has a candidate
+        // rule and a sparse kernel for. Each node's inputs are struck with
+        // every payload at saturation 1.1, so the node itself runs its
+        // sparse kernel (node k reads node k - 1 first, and no candidate
+        // reaches the threshold), and the logits are checked bitwise.
+        let mut store = ParameterStore::new();
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut param = |name: &str, kind: ParamKind, dims: &[usize], lo: f32, hi: f32| {
+            let len = dims.iter().product();
+            let data = (0..len).map(|_| rng.gen_range(lo..hi)).collect();
+            store.push(name, kind, Tensor::from_vec(Shape::new(dims), data).unwrap())
+        };
+        let w0 = param("conv0.weight", ParamKind::Weight { layer: 0 }, &[4, 1, 3, 3], -0.5, 0.5);
+        let b0 = param("conv0.bias", ParamKind::Bias, &[4], -0.2, 0.2);
+        let gamma = param("bn.gamma", ParamKind::BnGamma, &[4], 0.5, 1.5);
+        let beta = param("bn.beta", ParamKind::BnBeta, &[4], -0.1, 0.1);
+        let mean = param("bn.mean", ParamKind::BnMean, &[4], -0.1, 0.1);
+        let var = param("bn.var", ParamKind::BnVar, &[4], 0.5, 1.5);
+        let w1 = param("conv1.weight", ParamKind::Weight { layer: 1 }, &[8, 8, 3, 3], -0.3, 0.3);
+        let dw = param("dw.weight", ParamKind::Weight { layer: 2 }, &[8, 1, 3, 3], -0.5, 0.5);
+        let dwb = param("dw.bias", ParamKind::Bias, &[8], -0.2, 0.2);
+        let fc = param("fc.weight", ParamKind::Weight { layer: 3 }, &[3, 8], -0.5, 0.5);
+        let fcb = param("fc.bias", ParamKind::Bias, &[3], -0.1, 0.1);
+        let conv = |weight, bias, cfg| NodeOp::Conv { weight, bias, cfg };
+        let nodes = vec![
+            Node { op: NodeOp::Input, inputs: vec![] },
+            // [2, 2, 16, 16] -> grouped, biased conv -> [2, 4, 16, 16]
+            Node::unary(conv(w0, Some(b0), Conv2dCfg::same(1).with_groups(2)), 0),
+            Node::unary(NodeOp::BatchNorm { gamma, beta, mean, var, eps: 1e-5 }, 1),
+            Node::unary(NodeOp::Relu, 2),
+            Node::unary(NodeOp::MaxPool { kernel: 2 }, 3),
+            Node::unary(NodeOp::DownsamplePad { out_channels: 8, stride: 2 }, 4),
+            Node::unary(conv(w1, None, Conv2dCfg::same(1)), 5),
+            Node::binary(NodeOp::Add, 6, 5),
+            Node::unary(NodeOp::Relu6, 7),
+            Node::unary(conv(dw, Some(dwb), Conv2dCfg::same(2).with_groups(8)), 8),
+            Node::unary(NodeOp::AvgPool { kernel: 2 }, 9),
+            Node::unary(NodeOp::GlobalAvgPool, 10),
+            Node::unary(NodeOp::Linear { weight: fc, bias: Some(fcb) }, 11),
+        ];
+        let m = Model::new("every-op", nodes, store, vec![2, 16, 16]).unwrap();
+        let input = Tensor::from_fn([2, 2, 16, 16], |i| ((i * 7) % 23) as f32 * 0.13 - 1.4);
         let cache = m.forward_cached(&input).unwrap();
-        let mut faulty = m.clone();
-        faulty.store_mut().get_mut(0).unwrap().tensor.as_mut_slice()[0] += 100.0;
-        let dense = faulty.forward_from(1, &cache).unwrap();
-        let (out, stats) = faulty
-            .forward_delta(1, &cache, &mut DeltaOptions { saturation: 1.1, ..Default::default() })
-            .unwrap();
-        match out {
-            ForwardOutcome::Logits(l) => assert!(bits_eq(&l, &dense)),
-            ForwardOutcome::Converged { .. } => panic!("fault diverges"),
+        for (id, node) in m.nodes().iter().enumerate().skip(1) {
+            for &inp in &node.inputs {
+                for element in sites(&cache, inp, 0xcafe, 2) {
+                    let golden = cache.get(inp).unwrap().as_slice()[element];
+                    for bits in payloads(golden) {
+                        let ctx = format!("{:?} input {inp}[{element}] bits {bits:#010x}", node.op);
+                        let (_, stats) =
+                            assert_site_exact(&m, inp, element, bits, &cache, 1.1, &ctx);
+                        assert!(stats.sparse_nodes >= 2, "{ctx}: node {id} ran no sparse kernel");
+                        assert_eq!(stats.dense_nodes, 0, "{ctx}: {stats:?}");
+                    }
+                }
+            }
         }
-        assert_eq!(stats.dense_nodes, 1, "seed is the only dense node: {stats:?}");
-    }
-
-    #[test]
-    fn linear_seed_probe_is_exact() {
-        let m = tiny_model();
-        let input = Tensor::from_fn([2, 1, 4, 4], |i| (i as f32).sin());
-        let cache = m.forward_cached(&input).unwrap();
-        let fc = m.node_of_param(1).unwrap();
-        let mut faulty = m.clone();
-        faulty.store_mut().get_mut(1).unwrap().tensor.as_mut_slice()[5] += 7.0;
-        let unit = faulty.param_output_unit(1, 5);
-        let (out, _) = assert_delta_exact(&faulty, fc, &cache, unit, 0.95, "fc row");
-        assert!(matches!(out, ForwardOutcome::Logits(_)));
+        assert_all_sites_exact(&m, &cache, DELTA_SATURATION_DEFAULT, "every op");
     }
 
     #[test]
@@ -1430,11 +1328,7 @@ mod tests {
                         element,
                         faulty_bits,
                         &cache,
-                        &mut DeltaOptions {
-                            arena: Some(&mut arena),
-                            saturation,
-                            ..Default::default()
-                        },
+                        &mut DeltaOptions { arena: Some(&mut arena), saturation },
                     )
                     .unwrap();
                 match out {
@@ -1509,12 +1403,10 @@ mod tests {
     }
 
     #[test]
-    fn rejects_foreign_cache_and_passes_through_past_end() {
+    fn rejects_foreign_cache_and_strikes_the_logits_node() {
         let m = tiny_model();
         let input = Tensor::from_fn([1, 1, 4, 4], |i| i as f32 * 0.1);
         let cache = m.forward_cached(&input).unwrap();
-        let foreign = m.forward_cached(&input).unwrap();
-        drop(foreign);
         let bad = crate::Model::new(
             "other",
             vec![Node { op: NodeOp::Input, inputs: vec![] }],
@@ -1524,15 +1416,16 @@ mod tests {
         .unwrap();
         let bad_cache = bad.forward_cached(&Tensor::zeros([1, 1, 4, 4])).unwrap();
         assert!(matches!(
-            m.forward_delta(1, &bad_cache, &mut DeltaOptions::default()),
+            m.forward_delta_site(1, 0, 0, &bad_cache, &mut DeltaOptions::default()),
             Err(NnError::CacheMismatch { .. })
         ));
-        let (out, _) = m.forward_delta(999, &cache, &mut DeltaOptions::default()).unwrap();
+        // A strike on the logits themselves has no suffix: the patched
+        // logits come straight back.
+        let last = cache.len() - 1;
+        let (out, _) = assert_site_exact(&m, last, 1, f32::NAN.to_bits(), &cache, 0.95, "logits");
         match out {
-            ForwardOutcome::Logits(l) => {
-                assert!(bits_eq(&l, cache.get(cache.len() - 1).unwrap()));
-            }
-            _ => panic!("past-end must return cached logits"),
+            ForwardOutcome::Logits(l) => assert!(l.as_slice()[1].is_nan()),
+            _ => panic!("a struck logit must not converge"),
         }
     }
 }

@@ -12,8 +12,9 @@
 //!   step ([flush lists](CompiledPlan::flush_after)), driving arena
 //!   recycling at the earliest sound point;
 //! - **per-step cost estimates** ([`StepCost`]) — flop and element counts
-//!   that turn the delta-vs-dense choice into a compile-time decision
-//!   ([`CompiledPlan::delta_profitable`]) instead of a runtime floor;
+//!   that turn the batched-vs-per-image choice into a compile-time
+//!   decision ([`CompiledPlan::batched_profitable`]) instead of a runtime
+//!   floor;
 //! - **conv+bn(+relu) fusion groups** — batch-norm folds to a per-channel
 //!   `mul`+`add` whose coefficients come from the *same*
 //!   [`bn_channel_scale_shift`](sfi_tensor::ops::bn_channel_scale_shift)
@@ -83,19 +84,6 @@ impl FusedGroup {
     }
 }
 
-/// Per-image element count below which a *weight* fault's seed node makes
-/// sparse delta propagation unprofitable: weight faults dirty a whole
-/// output channel, so on small feature maps the 4x4 block-mask bookkeeping
-/// loses to the dense early-exit path (measured in BENCH_delta.json).
-const DELTA_SEED_BREAK_EVEN_ELEMS: usize = 2048;
-
-/// Minimum estimated dense-suffix flops (per image) for the delta engine to
-/// amortize its mask bookkeeping. Reduced-scale campaigns (smoke/default)
-/// sit one to two orders of magnitude below this and measured 0.83x/0.88x
-/// under delta in BENCH_delta.json; the full-scale ResNet-20 suffixes that
-/// profit sit well above.
-const DELTA_MIN_SUFFIX_FLOPS: u64 = 8_000_000;
-
 /// Maximum estimated dense-suffix flops (per image) for the batched
 /// eval-image engine to be the better dispatch **when no calibration is
 /// attached**. Small suffixes are per-call-overhead-dominated and batching
@@ -105,21 +93,6 @@ const DELTA_MIN_SUFFIX_FLOPS: u64 = 8_000_000;
 /// replaces this constant with measured suffix costs (see
 /// [`CompiledPlan::batched_profitable`]).
 const BATCHED_MAX_SUFFIX_FLOPS: u64 = 2_000_000;
-
-/// Measured dense-suffix seconds (per image) below which the delta engine's
-/// block-mask bookkeeping cannot pay for itself even on a wide seed
-/// channel. This floor deliberately sits comfortably above the *largest*
-/// measured full-scale ResNet-20 suffix (471-526us at the first conv
-/// across runs, CIFAR scale):
-/// probing it at 150us routed 13 of 20 layers through delta and read 0.99x
-/// with 55097 dense fallbacks against 1851 sparse nodes — a weight fault
-/// dirties a whole output channel, so even a mantissa-gated cone saturates
-/// at the first downstream conv and the pass degrades to
-/// dense-plus-bookkeeping. Weight-fault delta therefore owns nothing at any
-/// scale measured so far; the floor re-arms the engine only if a larger
-/// model's measured suffix crosses it. Transient one-element cones bypass
-/// this gate entirely and keep their 1.67x (BENCH_transient.json).
-const DELTA_MIN_SUFFIX_SECS: f64 = 1e-3;
 
 /// Batched-engine hedge for faults that are *likely to mismatch* (sign and
 /// exponent bit flips): a critical fault under `AnyMismatch` stops the
@@ -175,10 +148,9 @@ pub struct CompiledPlan {
 /// Measured per-node engine costs attached to a plan by
 /// [`CompiledPlan::calibrate`]: wall-clock suffix costs of the dense
 /// per-image path and the batched eval-image path against the campaign's
-/// own golden caches. When present, the engine-dispatch predicates
-/// ([`CompiledPlan::delta_profitable`],
-/// [`CompiledPlan::batched_profitable`]) use these instead of the
-/// hand-tuned flop constants, so each engine owns the tiers it measurably
+/// own golden caches. When present, the engine-dispatch predicate
+/// [`CompiledPlan::batched_profitable`] uses these instead of the
+/// hand-tuned flop constant, so each engine owns the tiers it measurably
 /// wins on *this* model at *this* scale. Dispatch is result-invariant
 /// (every engine produces byte-identical classifications and inference
 /// counts), so timing noise in the measurement can only shift performance
@@ -404,9 +376,8 @@ impl CompiledPlan {
 
     /// Measures per-node dense and batched execution costs against the
     /// campaign's own golden caches and attaches them to the plan,
-    /// switching [`delta_profitable`](Self::delta_profitable) and
-    /// [`batched_profitable`](Self::batched_profitable) from the static
-    /// flop thresholds to measured wall-clock costs. `single` must be a
+    /// switching [`batched_profitable`](Self::batched_profitable) from the
+    /// static flop threshold to measured wall-clock costs. `single` must be a
     /// one-image golden cache, `batched` the stacked eval-image cache.
     /// Every step takes the min of [`CALIBRATION_REPS`] repetitions after
     /// one warmup; fused groups are timed as the one fused kernel the
@@ -580,29 +551,6 @@ impl CompiledPlan {
             .or_else(|| self.member.get(id).copied().flatten())?;
         let g = &self.groups[gi];
         Some((g.conv, g.output()))
-    }
-
-    /// The compile-time delta-vs-dense decision for a *weight* fault whose
-    /// first dirty node is `first_dirty`: sparse delta propagation is
-    /// selected only when the dirty channel is wide enough to amortize the
-    /// block-mask bookkeeping **and** the remaining dense suffix is
-    /// expensive enough that skipping clean blocks can pay. On a calibrated
-    /// plan the suffix floor is the *measured* dense-suffix wall-clock
-    /// ([`DELTA_MIN_SUFFIX_SECS`]) — the `DELTA_MIN_SUFFIX_FLOPS` flop
-    /// estimate excluded the entire full-scale ResNet-20 workload (every
-    /// stratum of BENCH_delta.json recorded `sparse_nodes: 0`) because the
-    /// whole-network suffix estimate sits just below the flop constant
-    /// while its measured cost sits far above the real break-even.
-    /// Uncalibrated plans keep the static thresholds.
-    pub fn delta_profitable(&self, first_dirty: NodeId) -> bool {
-        let Some(cost) = self.cost.get(first_dirty) else { return false };
-        if cost.out_elems < DELTA_SEED_BREAK_EVEN_ELEMS {
-            return false;
-        }
-        match &self.calibration {
-            Some(cal) => cal.dense_suffix_secs(first_dirty) >= DELTA_MIN_SUFFIX_SECS,
-            None => self.suffix_flops(first_dirty) >= DELTA_MIN_SUFFIX_FLOPS,
-        }
     }
 
     /// The compile-time batched-vs-per-image decision for a fault whose
@@ -1295,16 +1243,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_unprofitable_at_micro_scale() {
-        let (_, _, plan) = setup();
-        // The micro model's widest activation is far below the break-even
-        // channel width; the cost model must keep every node dense.
-        for id in 1..plan.len() {
-            assert!(!plan.delta_profitable(id));
-        }
-    }
-
-    #[test]
     fn batched_forward_matches_per_image_bitwise() {
         let (model, _, _) = setup();
         let images: Vec<Tensor> = (0..3)
@@ -1367,12 +1305,6 @@ mod tests {
             assert!(cal.batched_suffix_secs(id - 1) >= cal.batched_suffix_secs(id));
         }
         assert!(cal.dense_suffix_secs(1) > 0.0, "a real suffix takes nonzero time");
-        // The micro model still keeps every node dense on the delta side:
-        // its widest activation is far below the seed break-even, which the
-        // measured floor does not relax.
-        for id in 1..plan.len() {
-            assert!(!plan.delta_profitable(id));
-        }
     }
 
     #[test]

@@ -10,13 +10,13 @@ const BLOCK_K: usize = 128;
 /// B-matrix footprint that used to gate the packed-row path when it was
 /// the dispatch tier above the naive kernel. The dispatch now lives in
 /// [`gemm_selected_kernel`](super::gemm_selected_kernel) (multiply-count
-/// floor, not B footprint); this constant survives only for the direct
-/// `gemm_packed` tests that straddle it.
+/// floor, not B footprint); this constant survives only for the
+/// `gemm_blocked` test that straddles it.
 #[cfg(test)]
 const PACK_THRESHOLD_BYTES: usize = 1 << 20;
 
-/// Row-block height of [`gemm_rows`]: how many output rows share one
-/// streamed B row while it is L1-hot. `MR` C rows plus one B row stay well
+/// Row-block height of [`gemm_packed_rows`]: how many output rows share
+/// one streamed B row while it is L1-hot. `MR` C rows plus one B row stay well
 /// inside L1 while B's L1 miss count drops by `MR`x.
 const MR: usize = 4;
 
@@ -121,100 +121,9 @@ pub fn gemm_blocked_with(
     super::microkernel::gemm_dispatch(m, k, n, a, b, c, packed);
 }
 
-/// Row-blocked [`gemm`]: `MR` output rows consume each B row while it is
-/// L1-hot instead of one row at a time cycling the whole of B per pass.
-///
-/// For a fixed output row `mi`, `ki` still runs `0..k` in increasing order,
-/// so every output element receives its partial products in exactly the
-/// order [`gemm`] produces them; row-blocking only changes which
-/// *independent* output rows are interleaved. The innermost loop is kept a
-/// textual copy of [`gemm`]'s so the compiler emits the same per-element
-/// arithmetic (the `kernel_bitident` proptests pin this down, NaN/Inf
-/// payloads included).
-///
-/// Not currently selected by [`gemm_blocked`]'s dispatch: with B resident
-/// in L2 it measured consistently *slower* than the naive loop on the
-/// ResNet-20 im2col shapes (0.74-0.87x), so the heuristic routes small-B
-/// problems to [`gemm`] instead. The kernel stays public so the trade-off
-/// remains measurable if cache geometries shift.
-///
-/// # Panics
-///
-/// Same length checks as [`gemm`].
-#[inline(never)]
-pub fn gemm_rows(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    assert_eq!(a.len(), m * k, "gemm: lhs length");
-    assert_eq!(b.len(), k * n, "gemm: rhs length");
-    assert_eq!(c.len(), m * n, "gemm: out length");
-    for mi0 in (0..m).step_by(MR) {
-        let m_hi = (mi0 + MR).min(m);
-        for ki in 0..k {
-            let b_row = &b[ki * n..(ki + 1) * n];
-            for mi in mi0..m_hi {
-                let a_v = a[mi * k + ki];
-                let c_row = &mut c[mi * n..(mi + 1) * n];
-                for (c_v, &b_v) in c_row.iter_mut().zip(b_row) {
-                    *c_v += a_v * b_v;
-                }
-            }
-        }
-    }
-}
-
-/// The always-packing tile kernel behind [`gemm_blocked`]: no size
-/// heuristic, every call tiles over `n`/`k` and packs B panels. Prefer
-/// [`gemm_blocked`], which self-selects; this entry point exists so the
-/// packing path stays testable (and measurable) at shapes below the
-/// delegation threshold. Bit-identical to [`gemm`].
-///
-/// `packed` is resized as needed and holds unspecified contents on return.
-///
-/// # Panics
-///
-/// Same length checks as [`gemm`].
-#[inline(never)]
-pub fn gemm_packed(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    packed: &mut Vec<f32>,
-) {
-    assert_eq!(a.len(), m * k, "gemm: lhs length");
-    assert_eq!(b.len(), k * n, "gemm: rhs length");
-    assert_eq!(c.len(), m * n, "gemm: out length");
-    // One up-front fill instead of per-tile `resize` churn as tail tiles
-    // shrink and full tiles re-grow the buffer.
-    if packed.len() < BLOCK_K * BLOCK_N {
-        packed.resize(BLOCK_K * BLOCK_N, 0.0);
-    }
-    for n0 in (0..n).step_by(BLOCK_N) {
-        let nw = BLOCK_N.min(n - n0);
-        for k0 in (0..k).step_by(BLOCK_K) {
-            let kw = BLOCK_K.min(k - k0);
-            for ki in 0..kw {
-                packed[ki * nw..(ki + 1) * nw]
-                    .copy_from_slice(&b[(k0 + ki) * n + n0..(k0 + ki) * n + n0 + nw]);
-            }
-            for mi in 0..m {
-                let a_row = &a[mi * k + k0..mi * k + k0 + kw];
-                let c_row = &mut c[mi * n + n0..mi * n + n0 + nw];
-                for (ki, &a_v) in a_row.iter().enumerate() {
-                    let b_row = &packed[ki * nw..(ki + 1) * nw];
-                    for (c_v, &b_v) in c_row.iter_mut().zip(b_row) {
-                        *c_v += a_v * b_v;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The packed *and* row-blocked tile kernel: B panels are packed exactly as
-/// in [`gemm_packed`], and within each panel `MR` output rows consume every
-/// packed B row while it is L1-hot (the [`gemm_rows`] interleaving).
+/// The packed *and* row-blocked tile kernel: B is copied into contiguous
+/// `BLOCK_K x BLOCK_N` panels, and within each panel `MR` output rows
+/// consume every packed B row while it is L1-hot.
 ///
 /// **Retired from dispatch.** This was [`gemm_blocked`]'s above-L2 tier
 /// until the register-tiled microkernel superseded it: the row-blocked
@@ -343,33 +252,6 @@ mod tests {
     }
 
     #[test]
-    fn packed_matches_naive_bitwise_across_block_boundaries() {
-        // Shapes straddling the BLOCK_N/BLOCK_K boundaries, including the
-        // exact block sizes and one-past cases. `gemm_packed` is called
-        // directly so the tile-and-pack path is exercised even below the
-        // delegation threshold; `packed` is reused dirty across shapes.
-        let mut packed = Vec::new();
-        for &(m, k, n) in &[
-            (1usize, 1usize, 1usize),
-            (3, 7, 5),
-            (4, BLOCK_K, BLOCK_N),
-            (4, BLOCK_K + 1, BLOCK_N + 1),
-            (2, 300, 17),
-            (5, 17, 700),
-            (16, 144, 1024),
-        ] {
-            let a = fill(m * k, 1);
-            let b = fill(k * n, 2);
-            let mut c0 = fill(m * n, 3); // nonzero accumulator base
-            let mut c1 = c0.clone();
-            gemm(m, k, n, &a, &b, &mut c0);
-            gemm_packed(m, k, n, &a, &b, &mut c1, &mut packed);
-            let same = c0.iter().zip(&c1).all(|(x, y)| x.to_bits() == y.to_bits());
-            assert!(same, "({m},{k},{n}) diverged");
-        }
-    }
-
-    #[test]
     fn blocked_takes_packed_path_above_threshold_bitwise() {
         // Large enough that the dispatch leaves the naive tier (historically
         // the PACK_THRESHOLD_BYTES boundary; today the microkernel's
@@ -384,46 +266,5 @@ mod tests {
         gemm_blocked(m, k, n, &a, &b, &mut c1);
         let same = c0.iter().zip(&c1).all(|(x, y)| x.to_bits() == y.to_bits());
         assert!(same, "({m},{k},{n}) diverged");
-    }
-
-    #[test]
-    fn rows_matches_naive_bitwise_including_nan_inf() {
-        // Called directly — the dispatch heuristic never selects this
-        // kernel — so the bit-identity guarantee holds if it ever returns
-        // to the hot path. Row counts straddle the MR boundary.
-        for &(m, k, n) in &[(1usize, 7usize, 300usize), (MR, 33, 256), (MR * 2 + 3, 40, 300)] {
-            let a = fill(m * k, 11);
-            let mut b = fill(k * n, 12);
-            b[0] = f32::NAN;
-            b[n] = f32::INFINITY;
-            b[2 * n - 1] = f32::NEG_INFINITY;
-            let mut a2 = a.clone();
-            a2[k - 1] = f32::NAN;
-            a2[0] = 0.0; // 0 * Inf => NaN in row 0
-            let mut c0 = fill(m * n, 13);
-            let mut c1 = c0.clone();
-            gemm(m, k, n, &a2, &b, &mut c0);
-            gemm_rows(m, k, n, &a2, &b, &mut c1);
-            let same = c0.iter().zip(&c1).all(|(x, y)| x.to_bits() == y.to_bits());
-            assert!(same, "({m},{k},{n}) diverged");
-        }
-    }
-
-    #[test]
-    fn packed_propagates_nan_and_inf_bitwise() {
-        let (m, k, n) = (3usize, 140usize, 300usize);
-        let mut a = fill(m * k, 9);
-        let mut b = fill(k * n, 10);
-        a[5] = f32::NAN;
-        a[135] = f32::INFINITY;
-        b[17] = f32::NEG_INFINITY;
-        b[k * n - 1] = f32::NAN;
-        let mut c0 = vec![0.0; m * n];
-        let mut c1 = vec![0.0; m * n];
-        let mut packed = Vec::new();
-        gemm(m, k, n, &a, &b, &mut c0);
-        gemm_packed(m, k, n, &a, &b, &mut c1, &mut packed);
-        let same = c0.iter().zip(&c1).all(|(x, y)| x.to_bits() == y.to_bits());
-        assert!(same, "NaN/Inf propagation diverged");
     }
 }

@@ -42,7 +42,7 @@ pub use conv::{
     FusedActivation, GemmKernel, LoweredConv, Padding,
 };
 pub use elementwise::{add, add_with, downsample_pad_channels};
-pub use gemm::{gemm, gemm_blocked, gemm_blocked_with, gemm_packed, gemm_packed_rows, gemm_rows};
+pub use gemm::{gemm, gemm_blocked, gemm_blocked_with, gemm_packed_rows};
 pub use linear::{linear, linear_row};
 pub use microkernel::{
     gemm_micro, gemm_row, gemm_row_lanes, gemm_selected_kernel, MR as MICRO_MR, NR as MICRO_NR,

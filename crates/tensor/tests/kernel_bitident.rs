@@ -23,9 +23,9 @@ use proptest::prelude::*;
 use sfi_tensor::ops::{
     batch_norm, bn_channel_scale_shift, conv2d, conv2d_batched_from_lowered,
     conv2d_channel_batched, conv2d_channel_from_lowered, conv2d_from_lowered, conv2d_kernel,
-    conv2d_with, gemm, gemm_blocked, gemm_micro, gemm_packed, gemm_packed_rows, gemm_row,
-    gemm_row_lanes, im2col_lower, im2col_lower_batched, relu, relu6, BatchNormParams, Conv2dCfg,
-    ConvEpilogue, FusedActivation, GemmKernel, Padding, MICRO_MR, MICRO_NR, MICRO_NR1,
+    conv2d_with, gemm, gemm_blocked, gemm_micro, gemm_packed_rows, gemm_row, gemm_row_lanes,
+    im2col_lower, im2col_lower_batched, relu, relu6, BatchNormParams, Conv2dCfg, ConvEpilogue,
+    FusedActivation, GemmKernel, Padding, MICRO_MR, MICRO_NR, MICRO_NR1,
 };
 use sfi_tensor::{ScratchArena, Tensor};
 
@@ -64,18 +64,11 @@ proptest! {
             cycled(&seed_a, k * n, 7, 3).iter().map(|v| v * 0.25 + 0.01).collect();
         let mut c_naive = vec![seed_c; m * n];
         let mut c_blocked = c_naive.clone();
-        let mut c_packed = c_naive.clone();
         gemm(m, k, n, &a, &b, &mut c_naive);
         gemm_blocked(m, k, n, &a, &b, &mut c_blocked);
         assert_bits_equal(&c_naive, &c_blocked);
-        // Below the delegation threshold gemm_blocked routes to the naive
-        // kernel, so the tile-and-pack path is exercised directly (with a
-        // dirty reused panel buffer, as the arena-backed conv calls it).
-        let mut panel = vec![f32::NAN; 7];
-        gemm_packed(m, k, n, &a, &b, &mut c_packed, &mut panel);
-        assert_bits_equal(&c_naive, &c_packed);
-        // The row-tiled packing variant (the batched-forward workhorse)
-        // must agree too, again through a dirty recycled panel.
+        // The retired row-tiled packing kernel must agree too, through a
+        // dirty recycled panel buffer.
         let mut c_packed_rows = vec![seed_c; m * n];
         let mut rows_panel = vec![f32::NAN; 13];
         gemm_packed_rows(m, k, n, &a, &b, &mut c_packed_rows, &mut rows_panel);

@@ -53,6 +53,12 @@ pub fn assert_bits_equal(a: &[f32], b: &[f32]) {
     }
 }
 
+/// Whether two tensors have the same shape and bit-identical elements.
+pub fn tensor_bits_equal(a: &Tensor, b: &Tensor) -> bool {
+    a.shape() == b.shape()
+        && a.as_slice().iter().zip(b.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
 /// Fills a buffer of `len` elements by cycling `values` with the given
 /// stride and offset — the shared pattern for deriving full operands from a
 /// small proptest-drawn value pool while letting every position host a
@@ -167,13 +173,66 @@ pub fn random_accumulated_faults(
         .collect()
 }
 
-/// The transient-site differential oracle: asserts that the dense patched
-/// suffix re-execution (`forward_patched_with`), the early-exit-equivalent
-/// delta pass (`forward_delta_site` at saturation 0, where every node takes
-/// the dense bit-compare path), and full sparse delta propagation all
-/// classify the injected site identically — the same predicted class, with
-/// any `Converged` outcome backed by bit-golden dense logits. Returns the
-/// predicted class of the faulty inference.
+/// The sparse-delta differential oracle: strikes `element` of node `node`
+/// with `faulty_bits` and asserts that delta propagation
+/// (`forward_delta_site` at `saturation`, with and without a scratch arena)
+/// observes exactly the inference the dense patched suffix re-execution
+/// (`forward_patched_with`) observes — bit-identical logits on divergence,
+/// bit-golden dense logits on convergence. Returns the dense logits plus
+/// the delta pass's outcome and work counters.
+pub fn assert_site_delta_exact(
+    model: &Model,
+    cache: &ActivationCache,
+    node: usize,
+    element: usize,
+    faulty_bits: u32,
+    saturation: f64,
+    ctx: &str,
+) -> (Tensor, ForwardOutcome, DeltaStats) {
+    let dense = model
+        .forward_patched_with(
+            node,
+            cache,
+            |t| t.as_mut_slice()[element] = f32::from_bits(faulty_bits),
+            &mut ForwardOptions::default(),
+        )
+        .unwrap();
+    let mut arena = ScratchArena::new();
+    let mut opts = DeltaOptions { arena: Some(&mut arena), saturation };
+    let (out, stats) =
+        model.forward_delta_site(node, element, faulty_bits, cache, &mut opts).unwrap();
+    match &out {
+        ForwardOutcome::Logits(l) => {
+            assert!(tensor_bits_equal(l, &dense), "{ctx}: delta logits diverge from dense bits");
+        }
+        ForwardOutcome::Converged { at_node } => {
+            let golden = cache.get(cache.len() - 1).unwrap();
+            assert!(
+                tensor_bits_equal(&dense, golden),
+                "{ctx}: delta pass spuriously converged at node {at_node}"
+            );
+        }
+    }
+    // The pass must be arena-invariant: recycled dirty buffers cannot leak
+    // into results.
+    let mut plain = DeltaOptions { saturation, ..Default::default() };
+    let (out_plain, _) =
+        model.forward_delta_site(node, element, faulty_bits, cache, &mut plain).unwrap();
+    match (&out, &out_plain) {
+        (ForwardOutcome::Logits(a), ForwardOutcome::Logits(b)) => {
+            assert!(tensor_bits_equal(a, b), "{ctx}: scratch arena changed the delta bits");
+        }
+        (a, b) => assert_eq!(a, b, "{ctx}: scratch arena changed the delta outcome"),
+    }
+    (dense, out, stats)
+}
+
+/// The transient-fault differential oracle: the early-exit-equivalent
+/// delta pass (saturation 0, where every node takes the dense bit-compare
+/// path) and full sparse delta propagation both reproduce the dense
+/// patched inference of `fault` bit for bit ([`assert_site_delta_exact`]),
+/// and any `Converged` outcome agrees with the golden prediction. Returns
+/// the predicted class of the faulty inference.
 pub fn assert_site_forward_equiv(
     model: &Model,
     cache: &ActivationCache,
@@ -184,39 +243,24 @@ pub fn assert_site_forward_equiv(
     let site = fault.site;
     let golden_v = cache.get(site.node).unwrap().as_slice()[site.element];
     let faulty_bits = fault.model.apply(golden_v, site.bit).to_bits();
-    let dense = model
-        .forward_patched_with(
-            site.node,
-            cache,
-            |t| t.as_mut_slice()[site.element] = f32::from_bits(faulty_bits),
-            &mut ForwardOptions::default(),
-        )
-        .unwrap();
-    let dense_pred = dense.argmax().unwrap_or(usize::MAX);
-    let golden_logits = cache.get(cache.len() - 1).unwrap();
+    let mut dense_pred = usize::MAX;
     for (name, saturation) in [("early-exit", 0.0f64), ("delta", 0.25)] {
-        let mut arena = ScratchArena::new();
-        let mut opts = DeltaOptions { arena: Some(&mut arena), saturation, ..Default::default() };
-        let (out, _stats) = model
-            .forward_delta_site(site.node, site.element, faulty_bits, cache, &mut opts)
-            .unwrap();
-        match out {
-            ForwardOutcome::Logits(l) => {
-                assert_eq!(
-                    l.argmax().unwrap_or(usize::MAX),
-                    dense_pred,
-                    "{ctx}: {name} path classifies the injected site differently"
-                );
-                assert_bits_equal(l.as_slice(), dense.as_slice());
-            }
-            ForwardOutcome::Converged { at_node } => {
-                assert_bits_equal(dense.as_slice(), golden_logits.as_slice());
-                assert_eq!(
-                    dense_pred, golden_prediction,
-                    "{ctx}: {name} path converged at node {at_node} but dense prediction \
-                     differs from golden"
-                );
-            }
+        let ctx = format!("{ctx}: {name} path");
+        let (dense, out, _) = assert_site_delta_exact(
+            model,
+            cache,
+            site.node,
+            site.element,
+            faulty_bits,
+            saturation,
+            &ctx,
+        );
+        dense_pred = dense.argmax().unwrap_or(usize::MAX);
+        if let ForwardOutcome::Converged { at_node } = out {
+            assert_eq!(
+                dense_pred, golden_prediction,
+                "{ctx} converged at node {at_node} but dense prediction differs from golden"
+            );
         }
     }
     dense_pred
@@ -353,25 +397,20 @@ pub fn random_small_input(seed: u64, model: &Model) -> Tensor {
     Tensor::from_vec(shape, (0..len).map(|_| rng.gen_range(-1.5f32..1.5)).collect()).unwrap()
 }
 
-/// The differential forward oracle: asserts that dense incremental
-/// re-execution (`forward_from`), the golden-convergence pass
-/// (`forward_from_converging`), and sparse delta propagation
-/// (`forward_delta`, with and without a scratch arena) all observe the same
-/// faulty inference — bit-identical logits on divergence, a provably
-/// bit-golden suffix on convergence. Returns the dense logits plus the
-/// delta pass's outcome and work counters.
+/// The weight-fault differential forward oracle: asserts that dense
+/// incremental re-execution (`forward_from`) and the golden-convergence
+/// pass (`forward_from_converging`, fed the first dirty conv's golden-input
+/// lowering and, when given, the single-unit probe) observe the same faulty
+/// inference — bit-identical logits on divergence, a provably bit-golden
+/// suffix on convergence. Returns the dense logits and the converging
+/// outcome.
 pub fn assert_forward_equiv(
     faulty: &Model,
     first_dirty: usize,
     cache: &ActivationCache,
     dirty_unit: Option<usize>,
-    saturation: f64,
     ctx: &str,
-) -> (Tensor, ForwardOutcome, DeltaStats) {
-    let tensor_bits = |a: &Tensor, b: &Tensor| -> bool {
-        a.shape() == b.shape()
-            && a.as_slice().iter().zip(b.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits())
-    };
+) -> (Tensor, ForwardOutcome) {
     // Pre-lowered panels for the first dirty conv, exactly as the campaign
     // executor would feed them from the golden reference (lowered from the
     // node's *golden* input, which incremental re-execution hands it).
@@ -395,61 +434,18 @@ pub fn assert_forward_equiv(
     let converging = faulty.forward_from_converging(first_dirty, cache, &mut conv_opts).unwrap();
     match &converging {
         ForwardOutcome::Logits(l) => {
-            assert!(tensor_bits(l, &dense), "{ctx}: converging pass diverges from dense bits");
+            assert!(
+                tensor_bits_equal(l, &dense),
+                "{ctx}: converging pass diverges from dense bits"
+            );
         }
         ForwardOutcome::Converged { at_node } => {
             let golden = cache.get(cache.len() - 1).unwrap();
             assert!(
-                tensor_bits(&dense, golden),
+                tensor_bits_equal(&dense, golden),
                 "{ctx}: converging pass spuriously converged at node {at_node}"
             );
         }
     }
-
-    let mut arena = ScratchArena::new();
-    let (delta_out, stats) = faulty
-        .forward_delta(
-            first_dirty,
-            cache,
-            &mut DeltaOptions {
-                arena: Some(&mut arena),
-                lowered: lowered_pair,
-                dirty_unit,
-                saturation,
-            },
-        )
-        .unwrap();
-    match &delta_out {
-        ForwardOutcome::Logits(l) => {
-            assert!(tensor_bits(l, &dense), "{ctx}: delta logits diverge from dense bits");
-        }
-        ForwardOutcome::Converged { at_node } => {
-            let golden = cache.get(cache.len() - 1).unwrap();
-            assert!(
-                tensor_bits(&dense, golden),
-                "{ctx}: delta pass spuriously converged at node {at_node}"
-            );
-        }
-    }
-    // The pass must be arena-invariant: recycled dirty buffers cannot leak
-    // into results.
-    let (delta_plain, _) = faulty
-        .forward_delta(
-            first_dirty,
-            cache,
-            &mut DeltaOptions {
-                lowered: lowered_pair,
-                dirty_unit,
-                saturation,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-    match (&delta_out, &delta_plain) {
-        (ForwardOutcome::Logits(a), ForwardOutcome::Logits(b)) => {
-            assert!(tensor_bits(a, b), "{ctx}: scratch arena changed the delta bits");
-        }
-        (a, b) => assert_eq!(a, b, "{ctx}: scratch arena changed the delta outcome"),
-    }
-    (dense, delta_out, stats)
+    (dense, converging)
 }

@@ -1,19 +1,21 @@
 //! Differential harness pinning the sparse delta-propagation path.
 //!
 //! The delta engine's contract is *bitwise* equivalence: on any graph and
-//! any weight fault — including NaN/Inf exponent flips — `forward_delta`
-//! must observe exactly the inference dense re-execution observes, and a
-//! campaign classified through it must be byte-identical to the
-//! no-early-exit and golden-convergence paths at any worker count. These
-//! properties are what let `delta` default on without a fingerprint bump.
+//! any single-element activation upset — including NaN payloads and ±Inf —
+//! `forward_delta_site` must observe exactly the inference dense patched
+//! re-execution observes, and a campaign classified with the engine on must
+//! be byte-identical to the no-early-exit and golden-convergence paths at
+//! any worker count. These properties are what let `delta` default on
+//! without a fingerprint bump. Weight faults never take the delta engine;
+//! the campaign-level tests pin that toggling it leaves them unchanged.
 
 #[path = "common/fixtures.rs"]
 mod fixtures;
 
 use fixtures::{
-    activation_space, assert_forward_equiv, assert_site_forward_equiv, campaign_world, input_space,
-    micro_resnet, random_accumulated_faults, random_faults, random_small_input, random_small_model,
-    random_transient_faults, tiny_resnet, unique_tmp_dir,
+    activation_space, assert_forward_equiv, assert_site_delta_exact, assert_site_forward_equiv,
+    campaign_world, input_space, micro_resnet, random_accumulated_faults, random_faults,
+    random_small_input, random_small_model, random_transient_faults, tiny_resnet, unique_tmp_dir,
 };
 use proptest::prelude::*;
 use sfi::core::checkpoint::{execute_plan_checkpointed, CampaignRun, CheckpointConfig};
@@ -49,28 +51,51 @@ fn fingerprint(outcome: &SfiOutcome) -> impl PartialEq + std::fmt::Debug {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// `forward_delta` is bitwise-equal to dense `forward_from` on random
-    /// small conv/bn/relu/add/pool graphs under random single-bit weight
-    /// faults — with guaranteed NaN/±Inf coverage on top of uniform flips —
-    /// at the default, forced-dense (0.0), and forced-sparse (1.1)
-    /// saturation thresholds, with and without the single-unit seed probe.
+    /// `forward_delta_site` is bitwise-equal to the dense patched forward
+    /// on random small conv/bn/relu/add/pool graphs under a random
+    /// single-element upset at any node, the input included — with
+    /// guaranteed NaN (quiet and signalling, random payloads) and ±Inf
+    /// coverage on top of uniform bit flips — at the default, forced-dense
+    /// (0.0) and forced-sparse (1.1) saturation thresholds. A random
+    /// single-bit weight fault on the same graph pins the dense converging
+    /// pass that weight faults run instead, with and without its
+    /// single-unit probe.
     #[test]
     fn delta_is_bitwise_equal_on_random_graphs(
         seed in 0u64..1_000_000,
+        node_pick in 0usize..64,
         param_pick in 0usize..8,
         elem_pick in 0usize..4096,
         bit in 0u32..32,
         force_special in 0u32..8,
+        payload in 1u32..0x40_0000,
     ) {
         let model = random_small_model(seed);
         let input = random_small_input(seed, &model);
         let cache = model.forward_cached(&input).unwrap();
 
+        let node = node_pick % cache.len();
+        let element = elem_pick % cache.get(node).unwrap().len();
+        let golden = cache.get(node).unwrap().as_slice()[element].to_bits();
+        let faulty_bits = match force_special {
+            0 => 0x7fc0_0000 | payload,
+            1 => 0xff80_0000 | payload,
+            2 => f32::INFINITY.to_bits(),
+            3 => f32::NEG_INFINITY.to_bits(),
+            _ => golden ^ (1u32 << bit),
+        };
+        for saturation in [DELTA_SATURATION_DEFAULT, 0.0, 1.1] {
+            let ctx = format!(
+                "seed={seed} node={node} element={element} bits={faulty_bits:#010x} \
+                 sat={saturation}"
+            );
+            assert_site_delta_exact(&model, &cache, node, element, faulty_bits, saturation, &ctx);
+        }
+
         let weights = weight_params(&model);
         let pid = weights[param_pick % weights.len()];
         let len = model.store().get(pid).unwrap().tensor.len();
         let idx = elem_pick % len;
-
         let mut faulty = model.clone();
         {
             let slot = &mut faulty.store_mut().get_mut(pid).unwrap().tensor.as_mut_slice()[idx];
@@ -83,12 +108,9 @@ proptest! {
         }
         let first_dirty = model.node_of_param(pid).unwrap();
         let unit = model.param_output_unit(pid, idx);
-
         for (dirty_unit, tag) in [(unit, "probe"), (None, "dense-seed")] {
-            for saturation in [DELTA_SATURATION_DEFAULT, 0.0, 1.1] {
-                let ctx = format!("seed={seed} pid={pid} idx={idx} {tag} sat={saturation}");
-                assert_forward_equiv(&faulty, first_dirty, &cache, dirty_unit, saturation, &ctx);
-            }
+            let ctx = format!("seed={seed} pid={pid} idx={idx} {tag}");
+            assert_forward_equiv(&faulty, first_dirty, &cache, dirty_unit, &ctx);
         }
     }
 }

@@ -1,12 +1,13 @@
-//! Engine-dispatch coverage: every execution engine must actually fire.
+//! Engine-dispatch coverage: every execution engine must actually fire, and
+//! only on the tier it owns.
 //!
-//! PR 8's cost-model dispatch silently disabled the sparse-delta engine on
-//! the full-scale weight bench (`BENCH_delta.json` recorded
-//! `sparse_nodes: 0` in every bit stratum) — nothing asserted that an
-//! engine the configuration *enables* is ever *selected*. These tests pin
-//! the dispatch outcome per representative fault tier through the
-//! `engine_dense`/`engine_delta`/`engine_batched` campaign counters, so a
-//! cost-model constant change can never zero an engine unnoticed again.
+//! A cost-model change once silently disabled an engine on a whole
+//! workload — nothing asserted that an engine the configuration *enables*
+//! is ever *selected*. These tests pin the dispatch outcome per
+//! representative fault tier through the
+//! `engine_dense`/`engine_delta`/`engine_batched` campaign counters:
+//! weight faults run dense-converging or batched, transient faults run the
+//! sparse delta engine, accumulated instances run dense.
 //! A companion matrix test pins that every joint combination of the
 //! `--no-batched`/`--no-delta`/`--no-early-exit` CLI flags parses, falls
 //! back to a valid engine, and classifies identically.
@@ -88,8 +89,8 @@ fn every_engine_fires_on_the_tier_it_owns() {
         "the measured cost model disabled the batched engine on every layer \
          (the sparse_nodes:0 failure mode, batched edition)"
     );
-    // Exponent-bit sweep: the delta bit gate rules delta out, and the
-    // mismatch-prone hedge makes dense-vs-batched the measured choice.
+    // Exponent-bit sweep: the mismatch-prone hedge makes dense-vs-batched
+    // the measured choice.
     let mut faults: Vec<CampaignFault> = Vec::new();
     for layer in [0, deep / 2, deep] {
         faults.extend(weight_faults(layer, 30, 4).into_iter().map(CampaignFault::Weight));
@@ -110,11 +111,7 @@ fn every_engine_fires_on_the_tier_it_owns() {
         weights.engine_delta,
         weights.engine_batched
     );
-    assert_eq!(
-        weights.engine_delta, 0,
-        "micro-scale weight faults must not route through delta \
-         (bit gate on exponent bits, seed-width gate on mantissa bits)"
-    );
+    assert_eq!(weights.engine_delta, 0, "weight faults must never route through delta");
 
     // Transient activation tier: the one-element cone is delta's home
     // ground and routes there unconditionally.
@@ -148,6 +145,37 @@ fn every_engine_fires_on_the_tier_it_owns() {
         acc.engine_batched
     );
     assert_eq!(acc.engine_batched, 0, "accumulated instances never batch");
+}
+
+/// Weight faults never take the delta engine, even where the old wall-clock
+/// dispatch floor routed them there: mantissa-bit faults on the first conv
+/// of full-scale ResNet-20, whose dense suffix costs several milliseconds
+/// per image. Turning delta off leaves classifications and inference
+/// counts unchanged.
+#[test]
+fn full_scale_mantissa_weight_faults_never_take_delta() {
+    let model = ResNetConfig::resnet20().build_seeded(42).unwrap();
+    let data = SynthCifarConfig::new().with_samples(1).generate();
+    let golden = GoldenReference::build(&model, &data).unwrap().with_lowering(&model).unwrap();
+    let faults: Vec<Fault> = (0..23u8)
+        .flat_map(|bit| {
+            [bit as usize, 200 + bit as usize].map(|weight| Fault {
+                site: FaultSite { layer: 0, weight, bit },
+                model: FaultModel::BitFlip,
+            })
+        })
+        .collect();
+    let on = run_campaign(&model, &data, &golden, &faults, &CampaignConfig::default()).unwrap();
+    let off = CampaignConfig { delta: false, ..CampaignConfig::default() };
+    let off = run_campaign(&model, &data, &golden, &faults, &off).unwrap();
+    assert_engine_accounting(&on, "delta on");
+    assert_eq!(
+        on.engine_delta, 0,
+        "layer-0 mantissa faults took delta (dense={} delta={} batched={})",
+        on.engine_dense, on.engine_delta, on.engine_batched
+    );
+    assert_eq!(on.classes, off.classes, "the delta flag changed weight-fault classes");
+    assert_eq!(on.inferences, off.inferences, "the delta flag changed inference counts");
 }
 
 /// Every joint combination of `--no-batched`, `--no-delta` and
