@@ -8,11 +8,12 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use sfi_bench::{resnet20_setup, Scale};
 use sfi_core::adaptive::{run_adaptive, AdaptiveConfig};
-use sfi_core::execute::execute_plan;
+use sfi_core::execute::{execute_plan_traced_any, CampaignSpace};
 use sfi_core::plan::plan_layer_wise;
-use sfi_faultsim::campaign::CampaignConfig;
+use sfi_faultsim::campaign::{CampaignConfig, Ieee754Corruption};
 use sfi_faultsim::golden::GoldenReference;
 use sfi_faultsim::population::FaultSpace;
+use sfi_obs::Probe;
 use sfi_stats::sample_size::SampleSpec;
 
 fn bench_adaptive_vs_fixed(c: &mut Criterion) {
@@ -28,13 +29,36 @@ fn bench_adaptive_vs_fixed(c: &mut Criterion) {
     let spec = SampleSpec { error_margin: target, ..SampleSpec::paper_default() };
     let plan = plan_layer_wise(&space, &spec).restricted_to_layer(13, &space);
     g.bench_function("fixed_eq1_layer13", |b| {
-        b.iter(|| execute_plan(model, data, &golden, &plan, 5, &cfg).unwrap())
+        b.iter(|| {
+            execute_plan_traced_any(
+                model,
+                data,
+                &golden,
+                &plan,
+                CampaignSpace::Weight(&space),
+                5,
+                &cfg,
+                &Ieee754Corruption,
+                Probe::disabled(),
+                &mut |_| {},
+            )
+            .unwrap()
+        })
     });
     let subpop = space.layer_subpopulation(13).unwrap();
     g.bench_function("adaptive_wilson_layer13", |b| {
         b.iter(|| {
-            run_adaptive(model, data, &golden, &subpop, &AdaptiveConfig::new(target), 5, &cfg)
-                .unwrap()
+            run_adaptive(
+                model,
+                data,
+                &golden,
+                &subpop,
+                &AdaptiveConfig::new(target),
+                5,
+                &cfg,
+                &Ieee754Corruption,
+            )
+            .unwrap()
         })
     });
     g.finish();

@@ -11,16 +11,17 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use sfi_bench::{host_fingerprint, resnet20_setup, Scale};
-use sfi_core::execute::execute_plan;
+use sfi_core::execute::{execute_plan_traced_any, CampaignSpace};
 use sfi_core::plan::plan_layer_wise;
 use sfi_dataset::Dataset;
 use sfi_faultsim::campaign::{
-    run_campaign, run_campaign_static, run_campaign_with, CampaignConfig, Ieee754Corruption,
+    run_campaign, run_campaign_static, CampaignConfig, Ieee754Corruption,
 };
 use sfi_faultsim::fault::Fault;
 use sfi_faultsim::golden::GoldenReference;
 use sfi_faultsim::population::FaultSpace;
 use sfi_nn::Model;
+use sfi_obs::Probe;
 use sfi_stats::sample_size::SampleSpec;
 use sfi_stats::sampling::sample_without_replacement;
 
@@ -40,14 +41,28 @@ fn bench_campaign(c: &mut Criterion) {
     let mut g = c.benchmark_group("table3_campaign");
     g.sample_size(10).measurement_time(Duration::from_secs(4));
     g.bench_function("128_faults_layer7", |b| {
-        b.iter(|| run_campaign(model, data, &golden, &faults, &cfg).unwrap())
+        b.iter(|| run_campaign(model, data, &golden, &faults, &cfg, &Ieee754Corruption).unwrap())
     });
 
     // Full plan execution: layer-wise at a loose margin.
     let spec = SampleSpec { error_margin: 0.2, ..SampleSpec::paper_default() };
     let plan = plan_layer_wise(&space, &spec);
     g.bench_function("layer_wise_plan_e20pct", |b| {
-        b.iter(|| execute_plan(model, data, &golden, &plan, 5, &cfg).unwrap())
+        b.iter(|| {
+            execute_plan_traced_any(
+                model,
+                data,
+                &golden,
+                &plan,
+                CampaignSpace::Weight(&space),
+                5,
+                &cfg,
+                &Ieee754Corruption,
+                Probe::disabled(),
+                &mut |_| {},
+            )
+            .unwrap()
+        })
     });
 
     // The golden-reference build (per-image caches) amortised per campaign.
@@ -97,7 +112,7 @@ fn bench_executor_vs_static(c: &mut Criterion) {
     for workers in [1usize, 2, 4] {
         let cfg = CampaignConfig { workers, ..CampaignConfig::default() };
         g.bench_function(BenchmarkId::new("work_stealing", workers), |b| {
-            b.iter(|| run_campaign_with(model, data, &golden, &faults, &cfg, &Ieee754Corruption))
+            b.iter(|| run_campaign(model, data, &golden, &faults, &cfg, &Ieee754Corruption))
         });
         g.bench_function(BenchmarkId::new("static_shards", workers), |b| {
             b.iter(|| run_campaign_static(model, data, &golden, &faults, &cfg, &Ieee754Corruption))
@@ -121,7 +136,7 @@ fn emit_bench_json(model: &Model, data: &Dataset, golden: &GoldenReference, faul
         let cfg = CampaignConfig { workers, ..CampaignConfig::default() };
         let stealing = mean_secs(
             || {
-                run_campaign_with(model, data, golden, faults, &cfg, &Ieee754Corruption).unwrap();
+                run_campaign(model, data, golden, faults, &cfg, &Ieee754Corruption).unwrap();
             },
             ITERS,
         );

@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use sfi_bench::{host_fingerprint, resnet20_setup, Scale};
-use sfi_faultsim::campaign::{run_campaign, CampaignConfig, CampaignResult};
+use sfi_faultsim::campaign::{run_campaign, CampaignConfig, CampaignResult, Ieee754Corruption};
 use sfi_faultsim::fault::Fault;
 use sfi_faultsim::golden::GoldenReference;
 use sfi_faultsim::population::FaultSpace;
@@ -94,18 +94,34 @@ fn bench_earlyexit(c: &mut Criterion) {
     let space = FaultSpace::stuck_at(model);
     let faults: Vec<Fault> = (0..32).rev().flat_map(|bit| bit_stratum(&space, bit, 1)).collect();
 
-    let base = run_campaign(model, data, &golden, &faults, &baseline_cfg()).unwrap();
-    let fast = run_campaign(model, data, &golden, &faults, &CampaignConfig::default()).unwrap();
+    let base =
+        run_campaign(model, data, &golden, &faults, &baseline_cfg(), &Ieee754Corruption).unwrap();
+    let fast =
+        run_campaign(model, data, &golden, &faults, &CampaignConfig::default(), &Ieee754Corruption)
+            .unwrap();
     assert_eq!(base.classes, fast.classes, "early exit changed classifications");
     assert_eq!(base.inferences, fast.inferences, "early exit changed inference counts");
 
     let mut g = c.benchmark_group("earlyexit_campaign");
     g.sample_size(10).measurement_time(Duration::from_secs(4));
     g.bench_function("no_early_exit", |b| {
-        b.iter(|| run_campaign(model, data, &golden, &faults, &baseline_cfg()).unwrap())
+        b.iter(|| {
+            run_campaign(model, data, &golden, &faults, &baseline_cfg(), &Ieee754Corruption)
+                .unwrap()
+        })
     });
     g.bench_function("early_exit", |b| {
-        b.iter(|| run_campaign(model, data, &golden, &faults, &CampaignConfig::default()).unwrap())
+        b.iter(|| {
+            run_campaign(
+                model,
+                data,
+                &golden,
+                &faults,
+                &CampaignConfig::default(),
+                &Ieee754Corruption,
+            )
+            .unwrap()
+        })
     });
     g.finish();
 }
@@ -129,13 +145,24 @@ fn scale_line(scale: Scale, name: &str, per_layer: u64, iters: usize) -> String 
     let space = FaultSpace::stuck_at(model);
     let faults: Vec<Fault> =
         (0..32).rev().flat_map(|bit| bit_stratum(&space, bit, per_layer)).collect();
-    let fast = run_campaign(model, data, &golden, &faults, &CampaignConfig::default()).unwrap();
+    let fast =
+        run_campaign(model, data, &golden, &faults, &CampaignConfig::default(), &Ieee754Corruption)
+            .unwrap();
     let (base_s, fast_s) = mean_secs_pair(
         || {
-            run_campaign(model, data, &golden, &faults, &baseline_cfg()).unwrap();
+            run_campaign(model, data, &golden, &faults, &baseline_cfg(), &Ieee754Corruption)
+                .unwrap();
         },
         || {
-            run_campaign(model, data, &golden, &faults, &CampaignConfig::default()).unwrap();
+            run_campaign(
+                model,
+                data,
+                &golden,
+                &faults,
+                &CampaignConfig::default(),
+                &Ieee754Corruption,
+            )
+            .unwrap();
         },
         iters,
     );
@@ -159,16 +186,28 @@ fn emit_bench_json() {
         (0..32).rev().map(|bit| (bit, bit_stratum(&space, bit, PER_LAYER))).collect();
     let faults: Vec<Fault> = strata.iter().flat_map(|(_, fs)| fs.clone()).collect();
 
-    let base = run_campaign(model, data, &golden, &faults, &baseline_cfg()).unwrap();
-    let fast = run_campaign(model, data, &golden, &faults, &CampaignConfig::default()).unwrap();
+    let base =
+        run_campaign(model, data, &golden, &faults, &baseline_cfg(), &Ieee754Corruption).unwrap();
+    let fast =
+        run_campaign(model, data, &golden, &faults, &CampaignConfig::default(), &Ieee754Corruption)
+            .unwrap();
     let identical = base.classes == fast.classes && base.inferences == fast.inferences;
 
     let (base_s, fast_s) = mean_secs_pair(
         || {
-            run_campaign(model, data, &golden, &faults, &baseline_cfg()).unwrap();
+            run_campaign(model, data, &golden, &faults, &baseline_cfg(), &Ieee754Corruption)
+                .unwrap();
         },
         || {
-            run_campaign(model, data, &golden, &faults, &CampaignConfig::default()).unwrap();
+            run_campaign(
+                model,
+                data,
+                &golden,
+                &faults,
+                &CampaignConfig::default(),
+                &Ieee754Corruption,
+            )
+            .unwrap();
         },
         ITERS,
     );
@@ -176,7 +215,9 @@ fn emit_bench_json() {
 
     let mut lines = Vec::new();
     for (bit, fs) in &strata {
-        let r = run_campaign(model, data, &golden, fs, &CampaignConfig::default()).unwrap();
+        let r =
+            run_campaign(model, data, &golden, fs, &CampaignConfig::default(), &Ieee754Corruption)
+                .unwrap();
         lines.push(bit_line(*bit, &r));
     }
     lines.sort_by_key(|l| l.bit);
@@ -235,18 +276,30 @@ fn smoke() -> i32 {
     let space = FaultSpace::stuck_at(model);
     let faults: Vec<Fault> = (0..32).rev().flat_map(|bit| bit_stratum(&space, bit, 1)).collect();
 
-    let base = run_campaign(model, data, &golden, &faults, &baseline_cfg()).unwrap();
-    let fast = run_campaign(model, data, &golden, &faults, &CampaignConfig::default()).unwrap();
+    let base =
+        run_campaign(model, data, &golden, &faults, &baseline_cfg(), &Ieee754Corruption).unwrap();
+    let fast =
+        run_campaign(model, data, &golden, &faults, &CampaignConfig::default(), &Ieee754Corruption)
+            .unwrap();
     if base.classes != fast.classes || base.inferences != fast.inferences {
         eprintln!("FAIL: early exit changed campaign results");
         return 1;
     }
     let (base_s, fast_s) = mean_secs_pair(
         || {
-            run_campaign(model, data, &golden, &faults, &baseline_cfg()).unwrap();
+            run_campaign(model, data, &golden, &faults, &baseline_cfg(), &Ieee754Corruption)
+                .unwrap();
         },
         || {
-            run_campaign(model, data, &golden, &faults, &CampaignConfig::default()).unwrap();
+            run_campaign(
+                model,
+                data,
+                &golden,
+                &faults,
+                &CampaignConfig::default(),
+                &Ieee754Corruption,
+            )
+            .unwrap();
         },
         ITERS,
     );

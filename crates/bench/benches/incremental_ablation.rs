@@ -8,7 +8,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use sfi_bench::{resnet20_setup, Scale};
-use sfi_faultsim::campaign::{run_campaign, CampaignConfig};
+use sfi_faultsim::campaign::{run_campaign, CampaignConfig, Ieee754Corruption};
 use sfi_faultsim::fault::{Fault, FaultModel, FaultSite};
 use sfi_faultsim::golden::GoldenReference;
 
@@ -33,7 +33,7 @@ fn bench_incremental(c: &mut Criterion) {
         let cfg = CampaignConfig { incremental, early_exit: false, ..Default::default() };
         let label = if incremental { "incremental" } else { "full_reexec" };
         g.bench_with_input(BenchmarkId::new(label, "64_faults"), &cfg, |b, cfg| {
-            b.iter(|| run_campaign(model, data, &golden, &faults, cfg).unwrap())
+            b.iter(|| run_campaign(model, data, &golden, &faults, cfg, &Ieee754Corruption).unwrap())
         });
     }
     g.finish();

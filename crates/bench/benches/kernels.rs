@@ -23,7 +23,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use sfi_bench::{host_fingerprint, resnet20_setup, Scale};
-use sfi_faultsim::campaign::{run_campaign, CampaignConfig};
+use sfi_faultsim::campaign::{run_campaign, CampaignConfig, Ieee754Corruption};
 use sfi_faultsim::fault::Fault;
 use sfi_faultsim::golden::GoldenReference;
 use sfi_faultsim::population::FaultSpace;
@@ -185,9 +185,14 @@ fn bench_campaign_fast_path(c: &mut Criterion) {
 
     // The fast paths are only fast paths if they are invisible in the
     // results: same classes, same inference counts, at every tier.
-    let baseline = run_campaign(model, data, &golden_plain, &faults, &naive_cfg()).unwrap();
-    let fast = run_campaign(model, data, &golden_cached, &faults, &fast_cfg()).unwrap();
-    let batched = run_campaign(model, data, &golden_cached, &faults, &batched_cfg()).unwrap();
+    let baseline =
+        run_campaign(model, data, &golden_plain, &faults, &naive_cfg(), &Ieee754Corruption)
+            .unwrap();
+    let fast = run_campaign(model, data, &golden_cached, &faults, &fast_cfg(), &Ieee754Corruption)
+        .unwrap();
+    let batched =
+        run_campaign(model, data, &golden_cached, &faults, &batched_cfg(), &Ieee754Corruption)
+            .unwrap();
     assert_eq!(baseline.classes, fast.classes, "fast path changed classifications");
     assert_eq!(baseline.inferences, fast.inferences, "fast path changed inference counts");
     assert_eq!(baseline.classes, batched.classes, "batched path changed classifications");
@@ -196,13 +201,22 @@ fn bench_campaign_fast_path(c: &mut Criterion) {
     let mut g = c.benchmark_group("campaign_fast_path");
     g.sample_size(10).measurement_time(Duration::from_secs(4));
     g.bench_function("naive_uncached", |b| {
-        b.iter(|| run_campaign(model, data, &golden_plain, &faults, &naive_cfg()).unwrap())
+        b.iter(|| {
+            run_campaign(model, data, &golden_plain, &faults, &naive_cfg(), &Ieee754Corruption)
+                .unwrap()
+        })
     });
     g.bench_function("fast_cached", |b| {
-        b.iter(|| run_campaign(model, data, &golden_cached, &faults, &fast_cfg()).unwrap())
+        b.iter(|| {
+            run_campaign(model, data, &golden_cached, &faults, &fast_cfg(), &Ieee754Corruption)
+                .unwrap()
+        })
     });
     g.bench_function("batched_plan", |b| {
-        b.iter(|| run_campaign(model, data, &golden_cached, &faults, &batched_cfg()).unwrap())
+        b.iter(|| {
+            run_campaign(model, data, &golden_cached, &faults, &batched_cfg(), &Ieee754Corruption)
+                .unwrap()
+        })
     });
     g.finish();
 }
@@ -304,33 +318,43 @@ fn emit_bench_json() {
     let micro_meets_1_4x =
         largest_micro_speedups.len() == 2 && largest_micro_speedups.iter().all(|&s| s >= 1.4);
 
-    let baseline = run_campaign(model, data, &golden_plain, &faults, &naive_cfg()).unwrap();
-    let fast = run_campaign(model, data, &golden_cached, &faults, &fast_cfg()).unwrap();
-    let batched = run_campaign(model, data, &golden_cached, &faults, &batched_cfg()).unwrap();
+    let baseline =
+        run_campaign(model, data, &golden_plain, &faults, &naive_cfg(), &Ieee754Corruption)
+            .unwrap();
+    let fast = run_campaign(model, data, &golden_cached, &faults, &fast_cfg(), &Ieee754Corruption)
+        .unwrap();
+    let batched =
+        run_campaign(model, data, &golden_cached, &faults, &batched_cfg(), &Ieee754Corruption)
+            .unwrap();
     let identical = baseline.classes == fast.classes && baseline.classes == batched.classes;
     // Worker-count invisibility at full scale: the acceptance contract is
     // byte-identical classifications at 1, 4, and 8 workers on the default
     // (batched) configuration.
     let identical_across_workers = [1usize, 4, 8].iter().all(|&workers| {
         let cfg = CampaignConfig { workers, ..batched_cfg() };
-        run_campaign(model, data, &golden_cached, &faults, &cfg).unwrap().classes
+        run_campaign(model, data, &golden_cached, &faults, &cfg, &Ieee754Corruption)
+            .unwrap()
+            .classes
             == baseline.classes
     });
     let naive_s = mean_secs(
         || {
-            run_campaign(model, data, &golden_plain, &faults, &naive_cfg()).unwrap();
+            run_campaign(model, data, &golden_plain, &faults, &naive_cfg(), &Ieee754Corruption)
+                .unwrap();
         },
         CAMPAIGN_ITERS,
     );
     let fast_s = mean_secs(
         || {
-            run_campaign(model, data, &golden_cached, &faults, &fast_cfg()).unwrap();
+            run_campaign(model, data, &golden_cached, &faults, &fast_cfg(), &Ieee754Corruption)
+                .unwrap();
         },
         CAMPAIGN_ITERS,
     );
     let batched_s = mean_secs(
         || {
-            run_campaign(model, data, &golden_cached, &faults, &batched_cfg()).unwrap();
+            run_campaign(model, data, &golden_cached, &faults, &batched_cfg(), &Ieee754Corruption)
+                .unwrap();
         },
         CAMPAIGN_ITERS,
     );
@@ -451,17 +475,20 @@ fn smoke() -> i32 {
     let golden = GoldenReference::build(model, data).unwrap().with_lowering(model).unwrap();
     let space = FaultSpace::stuck_at(model);
     let faults = bit_level_faults(&space, 1, 4);
-    let fast = run_campaign(model, data, &golden, &faults, &fast_cfg()).unwrap();
-    let batched = run_campaign(model, data, &golden, &faults, &batched_cfg()).unwrap();
+    let fast =
+        run_campaign(model, data, &golden, &faults, &fast_cfg(), &Ieee754Corruption).unwrap();
+    let batched =
+        run_campaign(model, data, &golden, &faults, &batched_cfg(), &Ieee754Corruption).unwrap();
     let fast_s = mean_secs(
         || {
-            run_campaign(model, data, &golden, &faults, &fast_cfg()).unwrap();
+            run_campaign(model, data, &golden, &faults, &fast_cfg(), &Ieee754Corruption).unwrap();
         },
         ITERS,
     );
     let batched_s = mean_secs(
         || {
-            run_campaign(model, data, &golden, &faults, &batched_cfg()).unwrap();
+            run_campaign(model, data, &golden, &faults, &batched_cfg(), &Ieee754Corruption)
+                .unwrap();
         },
         ITERS,
     );
@@ -505,7 +532,8 @@ fn smoke() -> i32 {
         }
         Some(&layer) => {
             let probe = bit_level_faults(&space, layer, 2);
-            let r = run_campaign(model, data, &golden, &probe, &batched_cfg()).unwrap();
+            let r = run_campaign(model, data, &golden, &probe, &batched_cfg(), &Ieee754Corruption)
+                .unwrap();
             println!(
                 "smoke dispatch: {} of {} layers batched-owned; layer {layer} probe engines \
                  dense {} delta {} batched {}",

@@ -22,10 +22,11 @@ use sfi_bench::{host_fingerprint, resnet20_setup, Scale};
 use sfi_faultsim::campaign::{
     run_campaign, CampaignConfig, Corruption, FaultClass, Ieee754Corruption,
 };
-use sfi_faultsim::executor::with_executor_probed;
+use sfi_faultsim::executor::with_executor;
 use sfi_faultsim::fault::Fault;
 use sfi_faultsim::golden::GoldenReference;
 use sfi_faultsim::injector::{inject_with, revert};
+use sfi_faultsim::multi::CampaignFault;
 use sfi_faultsim::population::FaultSpace;
 use sfi_nn::{ForwardOptions, ForwardOutcome, Model};
 use sfi_obs::{Probe, TraceLevel};
@@ -137,8 +138,9 @@ fn run_traced(
     out: Option<&std::path::Path>,
 ) -> Vec<FaultClass> {
     let probe = Probe::new(level, out).unwrap();
-    let result = with_executor_probed(model, data, golden, cfg, &Ieee754Corruption, &probe, |ex| {
-        ex.run_with(faults, &mut |_| {}, &mut |_, _, _| {}, None)
+    let faults: Vec<CampaignFault> = faults.iter().map(|&f| f.into()).collect();
+    let result = with_executor(model, data, golden, cfg, &Ieee754Corruption, &probe, |ex| {
+        ex.run(&faults, &mut |_| {}, &mut |_, _, _| {}, None)
     })
     .unwrap();
     probe.finish().unwrap();
@@ -197,7 +199,7 @@ fn measure(per_bit: u64, iters: usize) -> Measurement {
     let mut arena = ScratchArena::new();
     let (baseline_classes, baseline_inferences) =
         classify_probe_free(&mut scratch_model, data, golden, faults, &mut arena);
-    let library = run_campaign(model, data, golden, faults, cfg).unwrap();
+    let library = run_campaign(model, data, golden, faults, cfg, &Ieee754Corruption).unwrap();
     assert_eq!(cfg.workers, 1, "the baseline is single-threaded");
     let identical =
         baseline_classes == library.classes && baseline_inferences == library.inferences;
@@ -224,7 +226,7 @@ fn measure(per_bit: u64, iters: usize) -> Measurement {
             classify_probe_free(&mut m, data, golden, faults, &mut a);
         });
         let o = time(&mut || {
-            run_campaign(model, data, golden, faults, cfg).unwrap();
+            run_campaign(model, data, golden, faults, cfg, &Ieee754Corruption).unwrap();
         });
         let s = time(&mut || {
             run_traced(model, data, golden, faults, cfg, TraceLevel::Spans, Some(&spans_path));
@@ -258,7 +260,7 @@ fn bench_obs(c: &mut Criterion) {
         })
     });
     g.bench_function("tracing_off", |b| {
-        b.iter(|| run_campaign(model, data, golden, faults, cfg).unwrap())
+        b.iter(|| run_campaign(model, data, golden, faults, cfg, &Ieee754Corruption).unwrap())
     });
     g.finish();
 }

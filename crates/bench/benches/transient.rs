@@ -28,7 +28,7 @@ use rand::{Rng, SeedableRng};
 
 use sfi_bench::{host_fingerprint, resnet20_setup, Scale};
 use sfi_faultsim::activation::ActivationSpace;
-use sfi_faultsim::campaign::{run_any_campaign, CampaignConfig, CampaignResult};
+use sfi_faultsim::campaign::{run_campaign, CampaignConfig, CampaignResult, Ieee754Corruption};
 use sfi_faultsim::golden::GoldenReference;
 use sfi_faultsim::multi::{CampaignFault, FaultTarget};
 
@@ -76,17 +76,24 @@ fn bench_transient(c: &mut Criterion) {
     let space = ActivationSpace::build_for(model, data, FaultTarget::Activation).unwrap();
     let faults = transient_sample(&space, 2300, 512);
 
-    let base = run_any_campaign(model, data, &golden, &faults, &baseline_cfg()).unwrap();
-    let fast = run_any_campaign(model, data, &golden, &faults, &delta_cfg()).unwrap();
+    let base =
+        run_campaign(model, data, &golden, &faults, &baseline_cfg(), &Ieee754Corruption).unwrap();
+    let fast =
+        run_campaign(model, data, &golden, &faults, &delta_cfg(), &Ieee754Corruption).unwrap();
     assert_eq!(base.classes, fast.classes, "delta changed transient classifications");
 
     let mut g = c.benchmark_group("transient_campaign");
     g.sample_size(10).measurement_time(Duration::from_secs(4));
     g.bench_function("dense_patched", |b| {
-        b.iter(|| run_any_campaign(model, data, &golden, &faults, &baseline_cfg()).unwrap())
+        b.iter(|| {
+            run_campaign(model, data, &golden, &faults, &baseline_cfg(), &Ieee754Corruption)
+                .unwrap()
+        })
     });
     g.bench_function("delta_site", |b| {
-        b.iter(|| run_any_campaign(model, data, &golden, &faults, &delta_cfg()).unwrap())
+        b.iter(|| {
+            run_campaign(model, data, &golden, &faults, &delta_cfg(), &Ieee754Corruption).unwrap()
+        })
     });
     g.finish();
 }
@@ -107,13 +114,15 @@ fn scale_line(scale: Scale, name: &str, n: usize, iters: usize) -> String {
     let golden = GoldenReference::build(model, data).unwrap();
     let space = ActivationSpace::build_for(model, data, FaultTarget::Activation).unwrap();
     let faults = transient_sample(&space, 2300, n);
-    let fast = run_any_campaign(model, data, &golden, &faults, &delta_cfg()).unwrap();
+    let fast =
+        run_campaign(model, data, &golden, &faults, &delta_cfg(), &Ieee754Corruption).unwrap();
     let (base_s, fast_s) = mean_secs_pair(
         || {
-            run_any_campaign(model, data, &golden, &faults, &baseline_cfg()).unwrap();
+            run_campaign(model, data, &golden, &faults, &baseline_cfg(), &Ieee754Corruption)
+                .unwrap();
         },
         || {
-            run_any_campaign(model, data, &golden, &faults, &delta_cfg()).unwrap();
+            run_campaign(model, data, &golden, &faults, &delta_cfg(), &Ieee754Corruption).unwrap();
         },
         iters,
     );
@@ -142,13 +151,14 @@ fn depth_lines(
         if fs.is_empty() {
             continue;
         }
-        let r: CampaignResult = run_any_campaign(model, data, golden, fs, &delta_cfg()).unwrap();
+        let r: CampaignResult =
+            run_campaign(model, data, golden, fs, &delta_cfg(), &Ieee754Corruption).unwrap();
         let (base_s, fast_s) = mean_secs_pair(
             || {
-                run_any_campaign(model, data, golden, fs, &baseline_cfg()).unwrap();
+                run_campaign(model, data, golden, fs, &baseline_cfg(), &Ieee754Corruption).unwrap();
             },
             || {
-                run_any_campaign(model, data, golden, fs, &delta_cfg()).unwrap();
+                run_campaign(model, data, golden, fs, &delta_cfg(), &Ieee754Corruption).unwrap();
             },
             iters,
         );
@@ -180,16 +190,19 @@ fn emit_bench_json() {
     let space = ActivationSpace::build_for(model, data, FaultTarget::Activation).unwrap();
     let faults = transient_sample(&space, 2300, FAULTS);
 
-    let base = run_any_campaign(model, data, &golden, &faults, &baseline_cfg()).unwrap();
-    let fast = run_any_campaign(model, data, &golden, &faults, &delta_cfg()).unwrap();
+    let base =
+        run_campaign(model, data, &golden, &faults, &baseline_cfg(), &Ieee754Corruption).unwrap();
+    let fast =
+        run_campaign(model, data, &golden, &faults, &delta_cfg(), &Ieee754Corruption).unwrap();
     let identical = base.classes == fast.classes;
 
     let (base_s, fast_s) = mean_secs_pair(
         || {
-            run_any_campaign(model, data, &golden, &faults, &baseline_cfg()).unwrap();
+            run_campaign(model, data, &golden, &faults, &baseline_cfg(), &Ieee754Corruption)
+                .unwrap();
         },
         || {
-            run_any_campaign(model, data, &golden, &faults, &delta_cfg()).unwrap();
+            run_campaign(model, data, &golden, &faults, &delta_cfg(), &Ieee754Corruption).unwrap();
         },
         ITERS,
     );
@@ -237,18 +250,21 @@ fn smoke() -> i32 {
     let space = ActivationSpace::build_for(model, data, FaultTarget::Activation).unwrap();
     let faults = transient_sample(&space, 2300, 256);
 
-    let base = run_any_campaign(model, data, &golden, &faults, &baseline_cfg()).unwrap();
-    let fast = run_any_campaign(model, data, &golden, &faults, &delta_cfg()).unwrap();
+    let base =
+        run_campaign(model, data, &golden, &faults, &baseline_cfg(), &Ieee754Corruption).unwrap();
+    let fast =
+        run_campaign(model, data, &golden, &faults, &delta_cfg(), &Ieee754Corruption).unwrap();
     if base.classes != fast.classes {
         eprintln!("FAIL: delta path changed transient campaign results");
         return 1;
     }
     let (base_s, fast_s) = mean_secs_pair(
         || {
-            run_any_campaign(model, data, &golden, &faults, &baseline_cfg()).unwrap();
+            run_campaign(model, data, &golden, &faults, &baseline_cfg(), &Ieee754Corruption)
+                .unwrap();
         },
         || {
-            run_any_campaign(model, data, &golden, &faults, &delta_cfg()).unwrap();
+            run_campaign(model, data, &golden, &faults, &delta_cfg(), &Ieee754Corruption).unwrap();
         },
         ITERS,
     );

@@ -6,12 +6,13 @@
 
 use sfi_bench::{resnet20_setup, Scale};
 use sfi_core::bits::{bit_ranking, layer_bit_matrix};
-use sfi_core::execute::execute_plan;
+use sfi_core::execute::{execute_plan_traced_any, CampaignSpace};
 use sfi_core::plan::plan_data_unaware;
 use sfi_core::report::group_digits;
-use sfi_faultsim::campaign::CampaignConfig;
+use sfi_faultsim::campaign::{CampaignConfig, Ieee754Corruption};
 use sfi_faultsim::golden::GoldenReference;
 use sfi_faultsim::population::FaultSpace;
+use sfi_obs::Probe;
 use sfi_stats::confidence::Confidence;
 
 /// One character per cell: criticality decile of the estimate.
@@ -36,8 +37,19 @@ fn main() {
         group_digits(plan.total_sample()),
         plan.strata().len()
     );
-    let outcome = execute_plan(model, data, &golden, &plan, 17, &CampaignConfig::default())
-        .expect("campaign executes");
+    let outcome = execute_plan_traced_any(
+        model,
+        data,
+        &golden,
+        &plan,
+        CampaignSpace::Weight(&space),
+        17,
+        &CampaignConfig::default(),
+        &Ieee754Corruption,
+        Probe::disabled(),
+        &mut |_| {},
+    )
+    .expect("campaign executes");
 
     println!("layer x bit criticality map ('.' 0%, '+' <5%, 'x' <20%, 'X' <50%, '#' >=50%)");
     println!();

@@ -6,13 +6,14 @@
 //! Run with: `cargo run --release -p sfi-bench --bin fig5 [-- --scale smoke|full]`
 
 use sfi_bench::{resnet20_setup, Scale};
-use sfi_core::execute::execute_plan;
+use sfi_core::execute::{execute_plan_traced_any, CampaignSpace};
 use sfi_core::exhaustive::ExhaustiveTruth;
 use sfi_core::plan::{plan_data_aware, plan_layer_wise};
 use sfi_core::report::{group_digits, TextTable};
-use sfi_faultsim::campaign::CampaignConfig;
+use sfi_faultsim::campaign::{CampaignConfig, Ieee754Corruption};
 use sfi_faultsim::golden::GoldenReference;
 use sfi_faultsim::population::FaultSpace;
+use sfi_obs::Probe;
 use sfi_stats::bit_analysis::{DataAwareConfig, WeightBitAnalysis};
 use sfi_stats::confidence::Confidence;
 
@@ -32,9 +33,33 @@ fn main() {
     let da_plan = plan_data_aware(&space, &analysis, spec, &DataAwareConfig::paper_default())
         .expect("valid data-aware config");
     eprintln!("layer-wise campaign: {} faults...", group_digits(lw_plan.total_sample()));
-    let lw = execute_plan(model, data, &golden, &lw_plan, 3, &cfg).expect("layer-wise runs");
+    let lw = execute_plan_traced_any(
+        model,
+        data,
+        &golden,
+        &lw_plan,
+        CampaignSpace::Weight(&space),
+        3,
+        &cfg,
+        &Ieee754Corruption,
+        Probe::disabled(),
+        &mut |_| {},
+    )
+    .expect("layer-wise runs");
     eprintln!("data-aware campaign: {} faults...", group_digits(da_plan.total_sample()));
-    let da = execute_plan(model, data, &golden, &da_plan, 3, &cfg).expect("data-aware runs");
+    let da = execute_plan_traced_any(
+        model,
+        data,
+        &golden,
+        &da_plan,
+        CampaignSpace::Weight(&space),
+        3,
+        &cfg,
+        &Ieee754Corruption,
+        Probe::disabled(),
+        &mut |_| {},
+    )
+    .expect("data-aware runs");
 
     println!(
         "\nFig. 5 — per-layer critical %% (exhaustive | layer-wise ± margin | data-aware ± margin)"

@@ -5,15 +5,16 @@
 //! Run with: `cargo run --release -p sfi-bench --bin fig6 [-- --scale smoke|full]`
 
 use sfi_bench::{resnet20_setup, Scale};
-use sfi_core::execute::execute_plan;
+use sfi_core::execute::{execute_plan_traced_any, CampaignSpace};
 use sfi_core::exhaustive::exhaustive_layer;
 use sfi_core::plan::{
     plan_data_aware, plan_data_unaware, plan_layer_wise, plan_network_wise, SfiPlan,
 };
 use sfi_core::report::group_digits;
-use sfi_faultsim::campaign::CampaignConfig;
+use sfi_faultsim::campaign::{CampaignConfig, Ieee754Corruption};
 use sfi_faultsim::golden::GoldenReference;
 use sfi_faultsim::population::FaultSpace;
+use sfi_obs::Probe;
 use sfi_stats::bit_analysis::{DataAwareConfig, WeightBitAnalysis};
 use sfi_stats::confidence::Confidence;
 
@@ -50,8 +51,19 @@ fn main() {
         println!("sample  critical %  margin %  truth inside?");
         let mut hits = 0;
         for s in 0..SAMPLES {
-            let outcome = execute_plan(model, data, &golden, &plan, 1000 + s, &cfg)
-                .expect("campaign executes");
+            let outcome = execute_plan_traced_any(
+                model,
+                data,
+                &golden,
+                &plan,
+                CampaignSpace::Weight(&space),
+                1000 + s,
+                &cfg,
+                &Ieee754Corruption,
+                Probe::disabled(),
+                &mut |_| {},
+            )
+            .expect("campaign executes");
             let est = outcome.layer_estimate(0, Confidence::C99).expect("layer sampled");
             let inside = (est.proportion - truth.proportion()).abs() <= est.error_margin + 1e-12;
             hits += u32::from(inside);

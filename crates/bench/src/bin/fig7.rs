@@ -5,13 +5,14 @@
 //! Run with: `cargo run --release -p sfi-bench --bin fig7 [-- --scale smoke|full]`
 
 use sfi_bench::{mobilenet_setup, Scale};
-use sfi_core::execute::execute_plan;
+use sfi_core::execute::{execute_plan_traced_any, CampaignSpace};
 use sfi_core::exhaustive::ExhaustiveTruth;
 use sfi_core::plan::{plan_data_aware, plan_network_wise};
 use sfi_core::report::{group_digits, TextTable};
-use sfi_faultsim::campaign::CampaignConfig;
+use sfi_faultsim::campaign::{CampaignConfig, Ieee754Corruption};
 use sfi_faultsim::golden::GoldenReference;
 use sfi_faultsim::population::FaultSpace;
+use sfi_obs::Probe;
 use sfi_stats::bit_analysis::{DataAwareConfig, WeightBitAnalysis};
 use sfi_stats::confidence::Confidence;
 
@@ -35,9 +36,33 @@ fn main() {
     let da_plan = plan_data_aware(&space, &analysis, spec, &DataAwareConfig::paper_default())
         .expect("valid data-aware config");
     eprintln!("network-wise: {} faults...", group_digits(nw_plan.total_sample()));
-    let nw = execute_plan(model, data, &golden, &nw_plan, 9, &cfg).expect("network-wise runs");
+    let nw = execute_plan_traced_any(
+        model,
+        data,
+        &golden,
+        &nw_plan,
+        CampaignSpace::Weight(&space),
+        9,
+        &cfg,
+        &Ieee754Corruption,
+        Probe::disabled(),
+        &mut |_| {},
+    )
+    .expect("network-wise runs");
     eprintln!("data-aware:   {} faults...", group_digits(da_plan.total_sample()));
-    let da = execute_plan(model, data, &golden, &da_plan, 9, &cfg).expect("data-aware runs");
+    let da = execute_plan_traced_any(
+        model,
+        data,
+        &golden,
+        &da_plan,
+        CampaignSpace::Weight(&space),
+        9,
+        &cfg,
+        &Ieee754Corruption,
+        Probe::disabled(),
+        &mut |_| {},
+    )
+    .expect("data-aware runs");
 
     println!("\nFig. 7 — MobileNetV2 per-layer criticality");
     let mut table = TextTable::new(vec![

@@ -11,16 +11,17 @@
 //! Run with: `cargo run --release -p sfi-bench --bin table3 [-- --scale full]`
 
 use sfi_bench::{mobilenet_setup, resnet_setup, Scale, Setup};
-use sfi_core::execute::execute_plan;
+use sfi_core::execute::{execute_plan_traced_any, CampaignSpace};
 use sfi_core::exhaustive::ExhaustiveTruth;
 use sfi_core::plan::{
     plan_data_aware, plan_data_unaware, plan_layer_wise, plan_network_wise, SfiPlan,
 };
 use sfi_core::report::{group_digits, percent, TextTable};
 use sfi_core::validation::validate_against_exhaustive;
-use sfi_faultsim::campaign::CampaignConfig;
+use sfi_faultsim::campaign::{CampaignConfig, Ieee754Corruption};
 use sfi_faultsim::golden::GoldenReference;
 use sfi_faultsim::population::FaultSpace;
+use sfi_obs::Probe;
 use sfi_stats::bit_analysis::{DataAwareConfig, WeightBitAnalysis};
 use sfi_stats::confidence::Confidence;
 
@@ -64,8 +65,19 @@ fn run(name: &str, setup: &Setup) {
     ]);
     for plan in plans {
         eprintln!("[{name}] executing {} ({} faults)...", plan.scheme(), plan.total_sample());
-        let outcome =
-            execute_plan(model, data, &golden, &plan, 11, &cfg).expect("campaign executes");
+        let outcome = execute_plan_traced_any(
+            model,
+            data,
+            &golden,
+            &plan,
+            CampaignSpace::Weight(&space),
+            11,
+            &cfg,
+            &Ieee754Corruption,
+            Probe::disabled(),
+            &mut |_| {},
+        )
+        .expect("campaign executes");
         let v = validate_against_exhaustive(&outcome, &truth, Confidence::C99);
         table.add_row(vec![
             plan.scheme().to_string(),

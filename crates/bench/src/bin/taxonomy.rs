@@ -6,6 +6,7 @@
 
 use sfi_bench::{resnet_setup, Scale};
 use sfi_core::report::{group_digits, percent, TextTable};
+use sfi_faultsim::campaign::Ieee754Corruption;
 use sfi_faultsim::golden::GoldenReference;
 use sfi_faultsim::population::FaultSpace;
 use sfi_faultsim::taxonomy::run_campaign_detailed;
@@ -34,8 +35,8 @@ fn main() {
         let sub = space.layer_subpopulation(layer).expect("layer in range");
         let faults: Vec<_> = sub.iter().collect();
         eprintln!("layer {layer}: {} faults...", group_digits(sub.size()));
-        let res =
-            run_campaign_detailed(model, data, &golden, &faults, true).expect("campaign executes");
+        let res = run_campaign_detailed(model, data, &golden, &faults, true, &Ieee754Corruption)
+            .expect("campaign executes");
         let (masked, benign, sdc, due) = res.tally();
         totals.0 += masked;
         totals.1 += benign;

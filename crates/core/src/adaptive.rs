@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use sfi_dataset::Dataset;
-use sfi_faultsim::campaign::{run_campaign_with, CampaignConfig, Corruption, Ieee754Corruption};
+use sfi_faultsim::campaign::{run_campaign, CampaignConfig, Corruption};
 use sfi_faultsim::golden::GoldenReference;
 use sfi_faultsim::population::Subpopulation;
 use sfi_nn::Model;
@@ -71,7 +71,10 @@ impl AdaptiveOutcome {
 }
 
 /// Runs an adaptive campaign over `subpop` until the Wilson half-width
-/// reaches `cfg.target_margin`.
+/// reaches `cfg.target_margin`. `corruption` produces each fault's faulty
+/// weight value ([`Ieee754Corruption`](sfi_faultsim::campaign::Ieee754Corruption)
+/// for the paper's IEEE-754 setting, a reduced-precision format's
+/// corruption otherwise).
 ///
 /// The fault order is a uniformly random permutation prefix (sparse
 /// Fisher–Yates), so after any round the injected set is a simple random
@@ -86,7 +89,7 @@ impl AdaptiveOutcome {
 /// ```
 /// use sfi_core::adaptive::{run_adaptive, AdaptiveConfig};
 /// use sfi_dataset::SynthCifarConfig;
-/// use sfi_faultsim::campaign::CampaignConfig;
+/// use sfi_faultsim::campaign::{CampaignConfig, Ieee754Corruption};
 /// use sfi_faultsim::golden::GoldenReference;
 /// use sfi_faultsim::population::FaultSpace;
 /// use sfi_nn::resnet::ResNetConfig;
@@ -97,32 +100,15 @@ impl AdaptiveOutcome {
 /// let golden = GoldenReference::build(&model, &data)?;
 /// let subpop = FaultSpace::stuck_at(&model).layer_subpopulation(0)?;
 /// let cfg = AdaptiveConfig::new(0.05);
-/// let outcome = run_adaptive(&model, &data, &golden, &subpop, &cfg, 7,
-///     &CampaignConfig::default())?;
+/// let ccfg = CampaignConfig::default();
+/// let outcome =
+///     run_adaptive(&model, &data, &golden, &subpop, &cfg, 7, &ccfg, &Ieee754Corruption)?;
 /// assert!(outcome.converged);
 /// # Ok(())
 /// # }
 /// ```
-pub fn run_adaptive(
-    model: &Model,
-    data: &Dataset,
-    golden: &GoldenReference,
-    subpop: &Subpopulation,
-    cfg: &AdaptiveConfig,
-    seed: u64,
-    campaign_cfg: &CampaignConfig,
-) -> Result<AdaptiveOutcome, SfiError> {
-    run_adaptive_with(model, data, golden, subpop, cfg, seed, campaign_cfg, &Ieee754Corruption)
-}
-
-/// [`run_adaptive`] with a custom [`Corruption`] model (reduced-precision
-/// representations).
-///
-/// # Errors
-///
-/// Propagates sampling and campaign failures.
 #[allow(clippy::too_many_arguments)]
-pub fn run_adaptive_with<C: Corruption>(
+pub fn run_adaptive<C: Corruption>(
     model: &Model,
     data: &Dataset,
     golden: &GoldenReference,
@@ -148,7 +134,7 @@ pub fn run_adaptive_with<C: Corruption>(
         let take = chunk.min(cap - injected);
         let indices = &order[injected as usize..(injected + take) as usize];
         let faults = subpop.faults_at(indices)?;
-        let res = run_campaign_with(model, data, golden, &faults, campaign_cfg, corruption)?;
+        let res = run_campaign(model, data, golden, &faults, campaign_cfg, corruption)?;
         injected += res.injections;
         successes += res.critical();
         inferences += res.inferences;
@@ -169,6 +155,7 @@ pub fn run_adaptive_with<C: Corruption>(
 mod tests {
     use super::*;
     use sfi_dataset::SynthCifarConfig;
+    use sfi_faultsim::campaign::Ieee754Corruption;
     use sfi_faultsim::population::FaultSpace;
     use sfi_nn::resnet::ResNetConfig;
     use sfi_stats::sample_size::{sample_size, SampleSpec};
@@ -187,9 +174,17 @@ mod tests {
         let (model, data, golden) = setup();
         let subpop = FaultSpace::stuck_at(&model).layer_subpopulation(4).unwrap();
         let cfg = AdaptiveConfig::new(0.04);
-        let out =
-            run_adaptive(&model, &data, &golden, &subpop, &cfg, 3, &CampaignConfig::default())
-                .unwrap();
+        let out = run_adaptive(
+            &model,
+            &data,
+            &golden,
+            &subpop,
+            &cfg,
+            3,
+            &CampaignConfig::default(),
+            &Ieee754Corruption,
+        )
+        .unwrap();
         assert!(out.converged);
         assert!(out.achieved_margin(Confidence::C99) <= 0.04 + 1e-12);
         assert!(out.result.sample <= subpop.size());
@@ -215,6 +210,7 @@ mod tests {
             &AdaptiveConfig::new(target),
             3,
             &CampaignConfig::default(),
+            &Ieee754Corruption,
         )
         .unwrap();
         assert!(out.result.sample * 2 < fixed, "adaptive {} vs fixed {fixed}", out.result.sample);
@@ -226,8 +222,10 @@ mod tests {
         let subpop = FaultSpace::stuck_at(&model).layer_subpopulation(2).unwrap();
         let cfg = AdaptiveConfig::new(0.06);
         let ccfg = CampaignConfig::default();
-        let a = run_adaptive(&model, &data, &golden, &subpop, &cfg, 9, &ccfg).unwrap();
-        let b = run_adaptive(&model, &data, &golden, &subpop, &cfg, 9, &ccfg).unwrap();
+        let a = run_adaptive(&model, &data, &golden, &subpop, &cfg, 9, &ccfg, &Ieee754Corruption)
+            .unwrap();
+        let b = run_adaptive(&model, &data, &golden, &subpop, &cfg, 9, &ccfg, &Ieee754Corruption)
+            .unwrap();
         assert_eq!(a, b);
     }
 
@@ -240,9 +238,17 @@ mod tests {
             max_total: Some(100),
             ..AdaptiveConfig::new(0.01)
         };
-        let out =
-            run_adaptive(&model, &data, &golden, &subpop, &cfg, 1, &CampaignConfig::default())
-                .unwrap();
+        let out = run_adaptive(
+            &model,
+            &data,
+            &golden,
+            &subpop,
+            &cfg,
+            1,
+            &CampaignConfig::default(),
+            &Ieee754Corruption,
+        )
+        .unwrap();
         assert_eq!(out.result.sample, 100);
         assert!(!out.converged);
     }
@@ -253,9 +259,17 @@ mod tests {
         // Bit subpopulation of layer 0: only 108 faults.
         let subpop = FaultSpace::stuck_at(&model).bit_subpopulation(0, 5).unwrap();
         let cfg = AdaptiveConfig { target_margin: 1e-9, ..AdaptiveConfig::new(0.01) };
-        let out =
-            run_adaptive(&model, &data, &golden, &subpop, &cfg, 1, &CampaignConfig::default())
-                .unwrap();
+        let out = run_adaptive(
+            &model,
+            &data,
+            &golden,
+            &subpop,
+            &cfg,
+            1,
+            &CampaignConfig::default(),
+            &Ieee754Corruption,
+        )
+        .unwrap();
         assert_eq!(out.result.sample, subpop.size());
         assert!(out.converged, "a census is exact by definition");
     }

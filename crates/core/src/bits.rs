@@ -31,13 +31,14 @@ pub struct BitVulnerability {
 ///
 /// ```
 /// use sfi_core::bits::bit_ranking;
-/// use sfi_core::execute::execute_plan;
+/// use sfi_core::execute::{execute_plan_traced_any, CampaignSpace};
 /// use sfi_core::plan::plan_data_unaware;
 /// use sfi_dataset::SynthCifarConfig;
-/// use sfi_faultsim::campaign::CampaignConfig;
+/// use sfi_faultsim::campaign::{CampaignConfig, Ieee754Corruption};
 /// use sfi_faultsim::golden::GoldenReference;
 /// use sfi_faultsim::population::FaultSpace;
 /// use sfi_nn::resnet::ResNetConfig;
+/// use sfi_obs::Probe;
 /// use sfi_stats::confidence::Confidence;
 /// use sfi_stats::sample_size::SampleSpec;
 ///
@@ -49,7 +50,18 @@ pub struct BitVulnerability {
 /// let space = FaultSpace::stuck_at(&model);
 /// let spec = SampleSpec { error_margin: 0.25, ..SampleSpec::paper_default() };
 /// let plan = plan_data_unaware(&space, &spec);
-/// let outcome = execute_plan(&model, &data, &golden, &plan, 3, &CampaignConfig::default())?;
+/// let outcome = execute_plan_traced_any(
+///     &model,
+///     &data,
+///     &golden,
+///     &plan,
+///     CampaignSpace::Weight(&space),
+///     3,
+///     &CampaignConfig::default(),
+///     &Ieee754Corruption,
+///     Probe::disabled(),
+///     &mut |_| {},
+/// )?;
 /// let ranking = bit_ranking(&outcome, Confidence::C99);
 /// // The exponent MSB tops the ranking on IEEE-754 weights.
 /// assert_eq!(ranking[0].bit, 30);
@@ -115,7 +127,7 @@ pub fn layer_bit_matrix(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::execute::execute_plan;
+    use crate::execute::{execute_untraced, CampaignSpace};
     use crate::plan::{plan_data_unaware, plan_layer_wise};
     use sfi_dataset::SynthCifarConfig;
     use sfi_faultsim::campaign::CampaignConfig;
@@ -134,7 +146,16 @@ mod tests {
         let spec = SampleSpec { error_margin: 0.2, ..SampleSpec::paper_default() };
         let plan =
             if bitwise { plan_data_unaware(&space, &spec) } else { plan_layer_wise(&space, &spec) };
-        execute_plan(&model, &data, &golden, &plan, 8, &CampaignConfig::default()).unwrap()
+        execute_untraced(
+            &model,
+            &data,
+            &golden,
+            &plan,
+            CampaignSpace::Weight(&space),
+            8,
+            &CampaignConfig::default(),
+        )
+        .unwrap()
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! Validation-scale campaigns (the paper's Table I runs millions of
 //! inferences) can outlive a machine's patience: jobs get pre-empted,
-//! nodes reboot, users hit Ctrl-C. This module wraps
-//! [`execute_plan_observed`](crate::execute::execute_plan_observed)-style
-//! execution with the [`sfi_faultsim::journal`] write-ahead journal so an
+//! nodes reboot, users hit Ctrl-C. This module runs a plan through the same
+//! stratum loop as
+//! [`execute_plan_traced_any`](crate::execute::execute_plan_traced_any),
+//! adding the [`sfi_faultsim::journal`] write-ahead journal so an
 //! interrupted campaign loses at most `checkpoint_every` classifications:
 //!
 //! 1. every classified fault is appended to the journal **as it
@@ -14,12 +15,13 @@
 //! 3. the merged outcome is identical to an uninterrupted run — same
 //!    classes, same tallies, same estimates, at any worker count —
 //!    because per-fault classification is deterministic and keyed by a
-//!    stable [`FaultId`].
+//!    stable [`FaultId`](sfi_faultsim::journal::FaultId).
 //!
-//! A journal is bound to its plan by a [`plan_fingerprint`]: resuming
+//! A journal is bound to its plan by a [`plan_fingerprint_any`]: resuming
 //! under a different model, plan, seed, or campaign criterion is rejected
-//! with [`FaultSimError::CheckpointMismatch`] rather than silently mixing
-//! incompatible classifications.
+//! with
+//! [`FaultSimError::CheckpointMismatch`](sfi_faultsim::FaultSimError::CheckpointMismatch)
+//! rather than silently mixing incompatible classifications.
 //!
 //! Cancellation is cooperative: pass a [`CancelToken`] and arm it from
 //! anywhere; the execution stops at the next fault boundary, flushes and
@@ -32,20 +34,18 @@ use std::time::Instant;
 
 use sfi_dataset::Dataset;
 use sfi_faultsim::activation::ActivationFault;
-use sfi_faultsim::campaign::{CampaignConfig, CampaignResult, Corruption, Criterion, FaultClass};
-use sfi_faultsim::executor::{with_executor_probed, CampaignTelemetry, CancelToken};
+use sfi_faultsim::campaign::{CampaignConfig, Corruption, Criterion};
+use sfi_faultsim::executor::CancelToken;
 use sfi_faultsim::fault::{Fault, FaultModel};
 use sfi_faultsim::golden::GoldenReference;
-use sfi_faultsim::journal::{self, FaultId, JournalWriter};
+use sfi_faultsim::journal::{self, JournalWriter};
 use sfi_faultsim::multi::{CampaignFault, FaultTarget};
-use sfi_faultsim::population::FaultSpace;
-use sfi_faultsim::FaultSimError;
 use sfi_nn::Model;
 use sfi_obs::{Event, Probe};
 
 use crate::execute::{
-    assemble_outcome_any, class_name, fault_model_label, sample_strata_any, stratum_label_any,
-    CampaignSpace, PlanProgress, SfiOutcome,
+    assemble_outcome, run_strata, sample_strata_any, CampaignSpace, Checkpointing, DoneMap,
+    PlanProgress, SfiOutcome, StrataRun,
 };
 use crate::plan::{SchemeKind, SfiPlan};
 use crate::SfiError;
@@ -126,8 +126,11 @@ impl CampaignRun {
 }
 
 /// 64-bit FNV-1a over the facts that determine a campaign's
-/// classifications: scheme, seed, evaluation-set size, classification
-/// criterion, execution strategy, and every sampled fault.
+/// classifications: scheme, fault target, accumulation order, seed,
+/// evaluation-set size, classification criterion, execution strategy, and
+/// every sampled fault (with a per-fault variant tag, so a journal written
+/// by a weight campaign can never be resumed by a transient or accumulated
+/// one even when their site coordinates collide).
 ///
 /// Worker count, retry budget, kernel policy and the golden-convergence
 /// early exit are deliberately excluded — they change scheduling or speed,
@@ -138,25 +141,6 @@ impl CampaignRun {
 /// weights or image pixels; it relies on the sampled fault list (a
 /// deterministic function of plan and seed) plus the caller using the
 /// same artifacts, which the CLI derives from the same seeds.
-pub fn plan_fingerprint(
-    plan: &SfiPlan,
-    seed: u64,
-    eval_images: usize,
-    cfg: &CampaignConfig,
-    sampled: &[Vec<Fault>],
-) -> u64 {
-    let generic: Vec<Vec<CampaignFault>> = sampled
-        .iter()
-        .map(|faults| faults.iter().map(|&f| CampaignFault::Weight(f)).collect())
-        .collect();
-    plan_fingerprint_any(plan, seed, eval_images, cfg, &generic)
-}
-
-/// [`plan_fingerprint`] over a fault-model-generic sample: additionally
-/// hashes the plan's fault target and accumulation order plus a per-fault
-/// variant tag, so a journal written by a weight campaign can never be
-/// resumed by a transient or accumulated one (and vice versa) even when
-/// their site coordinates collide.
 pub fn plan_fingerprint_any(
     plan: &SfiPlan,
     seed: u64,
@@ -256,144 +240,32 @@ pub fn plan_fingerprint_any(
 /// - **Resume** (`checkpoint.resume == true`): the journal in
 ///   `checkpoint.dir` is recovered (tolerating truncated or
 ///   checksum-failing tails), validated against this plan's
-///   [`plan_fingerprint`], and every fault it already classifies is
+///   [`plan_fingerprint_any`], and every fault it already classifies is
 ///   skipped. Only the remainder is re-executed, into a fresh journal
 ///   segment.
 /// - **Cancellation**: when `cancel` fires, the execution stops at a
 ///   fault boundary, drains in-flight work into the journal, seals it,
 ///   and returns [`CampaignRun::Interrupted`].
 ///
-/// The completed outcome is identical to
-/// [`execute_plan`](crate::execute::execute_plan) on the same inputs —
-/// same classes, tallies, telemetry counts, and estimates, with only
+/// The run goes through the same stratum loop as
+/// [`execute_plan_traced_any`](crate::execute::execute_plan_traced_any)
+/// and emits the same events, plus a `resume` event when continuing from
+/// a journal (carrying the resumed and dropped-record counts) and an
+/// `interrupted` event when a cancellation stops the run. Journal `fsync`
+/// count and latency are folded into the probe's metrics after the seal.
+/// The completed outcome is identical to the plain run on the same inputs
+/// — same classes, tallies, telemetry counts, and estimates, with only
 /// wall-clock durations differing — regardless of how many times the
 /// campaign was interrupted and at which worker counts it ran.
 ///
 /// # Errors
 ///
-/// Everything [`execute_plan`](crate::execute::execute_plan) can return,
-/// plus journal I/O failures ([`FaultSimError::Journal`]) and resuming
-/// against a journal from a different plan
-/// ([`FaultSimError::CheckpointMismatch`]).
-#[allow(clippy::too_many_arguments)]
-pub fn execute_plan_checkpointed<C: Corruption>(
-    model: &Model,
-    data: &Dataset,
-    golden: &GoldenReference,
-    plan: &SfiPlan,
-    space: &FaultSpace,
-    seed: u64,
-    campaign_cfg: &CampaignConfig,
-    corruption: &C,
-    checkpoint: &CheckpointConfig,
-    cancel: Option<&CancelToken>,
-    progress: &mut dyn FnMut(PlanProgress),
-) -> Result<CampaignRun, SfiError> {
-    execute_plan_checkpointed_traced(
-        model,
-        data,
-        golden,
-        plan,
-        space,
-        seed,
-        campaign_cfg,
-        corruption,
-        checkpoint,
-        cancel,
-        Probe::disabled(),
-        progress,
-    )
-}
-
-/// [`execute_plan_checkpointed`] with an observability [`Probe`].
-///
-/// Emits the same span events as
-/// [`execute_plan_traced`](crate::execute::execute_plan_traced), plus the
-/// checkpoint-specific ones: a `resume` event when continuing from a
-/// journal (carrying the resumed and dropped-record counts) and an
-/// `interrupted` event when a cancellation stops the run. Journal `fsync`
-/// count and latency are folded into the probe's metrics after the seal.
-/// The probe never changes classifications, tallies, or estimates.
-///
-/// # Errors
-///
-/// Same conditions as [`execute_plan_checkpointed`].
-#[allow(clippy::too_many_arguments)]
-pub fn execute_plan_checkpointed_traced<C: Corruption>(
-    model: &Model,
-    data: &Dataset,
-    golden: &GoldenReference,
-    plan: &SfiPlan,
-    space: &FaultSpace,
-    seed: u64,
-    campaign_cfg: &CampaignConfig,
-    corruption: &C,
-    checkpoint: &CheckpointConfig,
-    cancel: Option<&CancelToken>,
-    probe: &Probe,
-    progress: &mut dyn FnMut(PlanProgress),
-) -> Result<CampaignRun, SfiError> {
-    execute_plan_checkpointed_traced_any(
-        model,
-        data,
-        golden,
-        plan,
-        CampaignSpace::Weight(space),
-        seed,
-        campaign_cfg,
-        corruption,
-        checkpoint,
-        cancel,
-        probe,
-        progress,
-    )
-}
-
-/// [`execute_plan_checkpointed_traced`] over any fault model: the
-/// [`CampaignSpace`] selects weight, transient-activation/input, or
-/// accumulated multi-fault sampling, and the journal fingerprint binds the
-/// fault target and accumulation order so mixed-model journals never
-/// cross-resume. Weight-only campaigns routed through here journal and
-/// classify exactly the same faults as the legacy entry point.
-///
-/// # Errors
-///
-/// Same conditions as [`execute_plan_checkpointed`].
-#[allow(clippy::too_many_arguments)]
-pub fn execute_plan_checkpointed_any<C: Corruption>(
-    model: &Model,
-    data: &Dataset,
-    golden: &GoldenReference,
-    plan: &SfiPlan,
-    space: CampaignSpace<'_>,
-    seed: u64,
-    campaign_cfg: &CampaignConfig,
-    corruption: &C,
-    checkpoint: &CheckpointConfig,
-    cancel: Option<&CancelToken>,
-    progress: &mut dyn FnMut(PlanProgress),
-) -> Result<CampaignRun, SfiError> {
-    execute_plan_checkpointed_traced_any(
-        model,
-        data,
-        golden,
-        plan,
-        space,
-        seed,
-        campaign_cfg,
-        corruption,
-        checkpoint,
-        cancel,
-        Probe::disabled(),
-        progress,
-    )
-}
-
-/// [`execute_plan_checkpointed_any`] with an observability [`Probe`].
-///
-/// # Errors
-///
-/// Same conditions as [`execute_plan_checkpointed`].
+/// Everything
+/// [`execute_plan_traced_any`](crate::execute::execute_plan_traced_any)
+/// can return, plus journal I/O failures
+/// ([`FaultSimError::Journal`](sfi_faultsim::FaultSimError::Journal)) and
+/// resuming against a journal from a different plan
+/// ([`FaultSimError::CheckpointMismatch`](sfi_faultsim::FaultSimError::CheckpointMismatch)).
 #[allow(clippy::too_many_arguments)]
 pub fn execute_plan_checkpointed_traced_any<C: Corruption>(
     model: &Model,
@@ -419,234 +291,47 @@ pub fn execute_plan_checkpointed_traced_any<C: Corruption>(
     let fingerprint = plan_fingerprint_any(plan, seed, data.len(), campaign_cfg, &sampled);
     let (mut writer, done, dropped) =
         open_journal(&checkpoint.dir, checkpoint.resume, fingerprint, checkpoint.checkpoint_every)?;
-
-    // Split every stratum into journal-resumed faults and faults still to
-    // run; remember each to-run fault's original index for the merge.
-    let n_strata = sampled.len();
-    let plan_total: u64 = sampled.iter().map(|f| f.len() as u64).sum();
-    let mut todo: Vec<Vec<usize>> = Vec::with_capacity(n_strata);
-    let mut per_stratum_resumed = vec![0u64; n_strata];
-    for (s, faults) in sampled.iter().enumerate() {
-        let mut missing = Vec::new();
-        for i in 0..faults.len() {
-            if done.contains_key(&FaultId::new(s, i)) {
-                per_stratum_resumed[s] += 1;
-            } else {
-                missing.push(i);
-            }
-        }
-        todo.push(missing);
-    }
-    let resumed: u64 = per_stratum_resumed.iter().sum();
-
-    probe.emit(&Event::CampaignStart {
-        strata: n_strata,
-        faults: plan_total,
-        workers: campaign_cfg.workers.max(1),
-        fault_model: fault_model_label(plan),
-    });
-    if checkpoint.resume {
-        probe.emit(&Event::Resume { resumed, dropped });
-    }
-
-    // Execute the remainder in one pool session, journaling each
-    // classification from the collector as it completes.
-    let mut completed = 0u64;
-    let mut journal_error: Option<FaultSimError> = None;
-    let mut session: Vec<Option<CampaignResult>> = Vec::with_capacity(n_strata);
-    let mut interrupted = false;
-    let exec_out =
-        with_executor_probed(model, data, golden, campaign_cfg, corruption, probe, |exec| {
-            let mut done_before: u64 = per_stratum_resumed.iter().sum();
-            let mut inferences_before = 0u64;
-            for (s, indices) in todo.iter().enumerate() {
-                if interrupted || cancel.is_some_and(|t| t.is_cancelled()) {
-                    interrupted = true;
-                    session.push(None);
-                    continue;
-                }
-                if indices.is_empty() {
-                    session.push(None);
-                    continue;
-                }
-                if probe.spans() {
-                    let label = stratum_label_any(plan.target(), &plan.strata()[s]);
-                    probe.emit(&Event::StratumStart {
-                        stratum: s,
-                        label: &label,
-                        faults: indices.len() as u64,
-                    });
-                }
-                let subset: Vec<CampaignFault> =
-                    indices.iter().map(|&i| sampled[s][i].clone()).collect();
-                let stratum_total = sampled[s].len() as u64;
-                let stratum_resumed = per_stratum_resumed[s];
-                let out = exec.run_any_with(
-                    &subset,
-                    &mut |p| {
-                        progress(PlanProgress {
-                            stratum: s,
-                            strata: n_strata,
-                            completed: stratum_resumed + p.completed,
-                            total: stratum_total,
-                            plan_completed: done_before + p.completed,
-                            plan_total,
-                            inferences: inferences_before + p.inferences,
-                        })
-                    },
-                    &mut |subset_idx, class, cost| {
-                        completed += 1;
-                        probe.emit(&Event::Fault {
-                            stratum: s,
-                            index: indices[subset_idx],
-                            class: class_name(class),
-                            inferences: cost,
-                        });
-                        if journal_error.is_none() {
-                            let id = FaultId::new(s, indices[subset_idx]);
-                            if let Err(e) = writer.append(id, class, cost) {
-                                journal_error = Some(e);
-                            }
-                        }
-                    },
-                    cancel,
-                );
-                match out {
-                    Ok(result) => {
-                        if probe.spans() {
-                            let tel = CampaignTelemetry::from_result(&result);
-                            probe.emit(&Event::StratumEnd {
-                                stratum: s,
-                                injections: tel.injections,
-                                masked: tel.masked,
-                                critical: tel.critical,
-                                non_critical: tel.non_critical,
-                                failures: tel.exec_failures,
-                                lowering_hits: tel.lowering_hits,
-                                lowering_misses: tel.lowering_misses,
-                                converged: tel.converged,
-                                nodes_skipped: tel.nodes_skipped,
-                                delta_sparse: tel.delta_sparse_nodes,
-                                delta_fallbacks: tel.delta_fallbacks,
-                                delta_dirty_blocks: tel.delta_dirty_blocks,
-                                wall_ms: tel.wall.as_secs_f64() * 1e3,
-                            });
-                        }
-                        done_before += result.injections;
-                        inferences_before += result.inferences;
-                        session.push(Some(result));
-                    }
-                    Err(FaultSimError::Cancelled { .. }) => {
-                        interrupted = true;
-                        session.push(None);
-                    }
-                    Err(e) => return Err(e),
-                }
-                if let Some(e) = journal_error.take() {
-                    return Err(e);
-                }
-            }
-            Ok(())
-        });
+    let driven = run_strata(
+        model,
+        data,
+        golden,
+        plan,
+        &sampled,
+        campaign_cfg,
+        corruption,
+        probe,
+        progress,
+        Checkpointing {
+            done: &done,
+            dropped: checkpoint.resume.then_some(dropped),
+            cancel,
+            on_fault: &mut |id, class, cost| writer.append(id, class, cost),
+        },
+    );
     // Seal before surfacing any error: whatever was classified is durable.
     let seal = writer.seal();
     let (fsyncs, fsync_ns) = writer.fsync_stats();
     probe.record_fsync(fsyncs, fsync_ns);
-    exec_out.map_err(SfiError::from)?;
-    seal.map_err(SfiError::from)?;
-
-    let stats = ResumeStats { resumed, dropped, completed, total: plan_total, per_stratum_resumed };
-    if interrupted {
+    let StrataRun { results, completed, per_stratum_resumed } = driven?;
+    seal?;
+    let stats = ResumeStats {
+        resumed: per_stratum_resumed.iter().sum(),
+        dropped,
+        completed,
+        total: sampled.iter().map(|f| f.len() as u64).sum(),
+        per_stratum_resumed,
+    };
+    let Some(results) = results else {
         probe.emit(&Event::Interrupted { completed });
         return Ok(CampaignRun::Interrupted { stats });
-    }
-
-    // Merge journal-resumed and freshly-run classifications back into
-    // fault order, stratum by stratum.
-    let mut results = Vec::with_capacity(n_strata);
-    for (s, faults) in sampled.iter().enumerate() {
-        let fresh = &session[s];
-        let mut classes = Vec::with_capacity(faults.len());
-        let mut inferences = 0u64;
-        let mut fresh_cursor = 0usize;
-        for i in 0..faults.len() {
-            if let Some(&(class, cost)) = done.get(&FaultId::new(s, i)) {
-                classes.push(class);
-                inferences += cost;
-            } else {
-                let result = fresh.as_ref().ok_or_else(|| SfiError::InvalidExperiment {
-                    reason: format!("stratum {s} has unclassified faults but no session result"),
-                })?;
-                classes.push(result.classes[fresh_cursor]);
-                fresh_cursor += 1;
-            }
-        }
-        let (fresh_inferences, elapsed) = fresh
-            .as_ref()
-            .map(|r| (r.inferences, r.elapsed))
-            .unwrap_or((0, std::time::Duration::ZERO));
-        inferences += fresh_inferences;
-        // Fast-path counters describe only the fresh session's work;
-        // journal-resumed faults carry no cache, arena, or convergence
-        // telemetry — the journal stores classifications, not exit depths.
-        let session_counters = fresh.as_ref().map(|r| {
-            (
-                r.lowering_hits,
-                r.lowering_misses,
-                r.arena_peak_bytes,
-                r.converged,
-                r.nodes_skipped,
-                r.delta_sparse_nodes,
-                r.delta_fallbacks,
-                r.delta_dirty_blocks,
-            )
-        });
-        let (
-            lowering_hits,
-            lowering_misses,
-            arena_peak_bytes,
-            converged,
-            nodes_skipped,
-            delta_sparse_nodes,
-            delta_fallbacks,
-            delta_dirty_blocks,
-        ) = session_counters.unwrap_or((0, 0, 0, 0, 0, 0, 0, 0));
-        let (engine_dense, engine_delta, engine_batched) = fresh
-            .as_ref()
-            .map(|r| (r.engine_dense, r.engine_delta, r.engine_batched))
-            .unwrap_or((0, 0, 0));
-        results.push(CampaignResult {
-            injections: faults.len() as u64,
-            classes,
-            inferences,
-            elapsed,
-            lowering_hits,
-            lowering_misses,
-            arena_peak_bytes,
-            converged,
-            nodes_skipped,
-            delta_sparse_nodes,
-            delta_fallbacks,
-            delta_dirty_blocks,
-            engine_dense,
-            engine_delta,
-            engine_batched,
-        });
-    }
-    let outcome = assemble_outcome_any(plan, space, &sampled, &results, start.elapsed());
-    probe.emit(&Event::CampaignEnd {
-        injections: outcome.injections(),
-        inferences: outcome.inferences(),
-        wall_ms: outcome.elapsed().as_secs_f64() * 1e3,
-    });
+    };
+    let outcome = assemble_outcome(plan, space, &sampled, &results, start.elapsed(), probe);
     Ok(CampaignRun::Complete { outcome, stats })
 }
 
 /// Creates or resumes the journal, returning the writer, the map of
 /// already-classified faults, and the count of corrupt records dropped
 /// during recovery.
-type DoneMap = std::collections::HashMap<FaultId, (FaultClass, u64)>;
-
 fn open_journal(
     dir: &Path,
     resume: bool,
@@ -666,10 +351,11 @@ fn open_journal(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::execute::sample_strata;
+    use crate::execute::execute_untraced;
     use crate::plan::{plan_layer_wise, SchemeKind};
     use sfi_dataset::SynthCifarConfig;
     use sfi_faultsim::campaign::Ieee754Corruption;
+    use sfi_faultsim::population::FaultSpace;
     use sfi_nn::resnet::ResNetConfig;
     use sfi_stats::sample_size::SampleSpec;
     use std::path::PathBuf;
@@ -716,7 +402,7 @@ mod tests {
             _ => CampaignSpace::Weight(weights),
         };
         let checkpoint = CheckpointConfig { dir: dir.to_path_buf(), resume, checkpoint_every: 64 };
-        execute_plan_checkpointed_any(
+        execute_plan_checkpointed_traced_any(
             model,
             data,
             golden,
@@ -727,6 +413,7 @@ mod tests {
             &Ieee754Corruption,
             &checkpoint,
             cancel,
+            Probe::disabled(),
             progress,
         )
         .unwrap()
@@ -750,7 +437,7 @@ mod tests {
         )
         .unwrap();
         let cfg = CampaignConfig::default();
-        let plain = crate::execute::execute_plan_any(
+        let plain = execute_untraced(
             &world.0,
             &world.1,
             &world.2,
@@ -758,7 +445,6 @@ mod tests {
             CampaignSpace::Transient(&acts),
             7,
             &cfg,
-            &Ieee754Corruption,
         )
         .unwrap();
         let dir = tmp_dir("transient");
@@ -818,7 +504,7 @@ mod tests {
         let union = world.3.total() + acts.total();
         let plan = crate::plan::plan_accumulated(union, 2, &loose_spec()).unwrap();
         let cfg = CampaignConfig::default();
-        let plain = crate::execute::execute_plan_any(
+        let plain = execute_untraced(
             &world.0,
             &world.1,
             &world.2,
@@ -826,7 +512,6 @@ mod tests {
             CampaignSpace::Accumulated { weights: &world.3, activations: &acts },
             7,
             &cfg,
-            &Ieee754Corruption,
         )
         .unwrap();
         let dir = tmp_dir("accumulated");
@@ -911,9 +596,6 @@ mod tests {
             plan_fingerprint_any(&a4, 3, data.len(), &cfg, &s4),
             "different accumulation orders must not cross-resume"
         );
-        // The legacy weight-only fingerprint is the generic one in disguise.
-        let legacy = sample_strata(&wplan, &space, 3).unwrap();
-        assert_eq!(wfp, plan_fingerprint(&wplan, 3, data.len(), &cfg, &legacy));
     }
 
     fn strip_wall(outcome: &SfiOutcome) -> impl PartialEq + std::fmt::Debug {
@@ -945,19 +627,22 @@ mod tests {
         let (model, data, golden, space) = setup();
         let plan = plan_layer_wise(&space, &loose_spec());
         let cfg = CampaignConfig::default();
-        let plain = crate::execute::execute_plan(&model, &data, &golden, &plan, 5, &cfg).unwrap();
+        let plain =
+            execute_untraced(&model, &data, &golden, &plan, CampaignSpace::Weight(&space), 5, &cfg)
+                .unwrap();
         let dir = tmp_dir("plain");
-        let run = execute_plan_checkpointed(
+        let run = execute_plan_checkpointed_traced_any(
             &model,
             &data,
             &golden,
             &plan,
-            &space,
+            CampaignSpace::Weight(&space),
             5,
             &cfg,
             &Ieee754Corruption,
             &CheckpointConfig::new(&dir),
             None,
+            Probe::disabled(),
             &mut |_| {},
         )
         .unwrap();
@@ -973,22 +658,25 @@ mod tests {
         let (model, data, golden, space) = setup();
         let plan = plan_layer_wise(&space, &loose_spec());
         let cfg = CampaignConfig::default();
-        let plain = crate::execute::execute_plan(&model, &data, &golden, &plan, 7, &cfg).unwrap();
+        let plain =
+            execute_untraced(&model, &data, &golden, &plan, CampaignSpace::Weight(&space), 7, &cfg)
+                .unwrap();
         let dir = tmp_dir("resume");
         // Interrupt after ~40% of the plan.
         let token = CancelToken::new();
         let stop_at = plain.injections() * 2 / 5;
-        let run = execute_plan_checkpointed(
+        let run = execute_plan_checkpointed_traced_any(
             &model,
             &data,
             &golden,
             &plan,
-            &space,
+            CampaignSpace::Weight(&space),
             7,
             &cfg,
             &Ieee754Corruption,
             &CheckpointConfig::new(&dir),
             Some(&token),
+            Probe::disabled(),
             &mut |p| {
                 if p.plan_completed >= stop_at {
                     token.cancel();
@@ -1002,17 +690,18 @@ mod tests {
         // Resume to completion (different worker count on purpose).
         let resume_cfg = CampaignConfig { workers: 4, ..cfg };
         let checkpoint = CheckpointConfig { dir: dir.clone(), resume: true, checkpoint_every: 64 };
-        let run = execute_plan_checkpointed(
+        let run = execute_plan_checkpointed_traced_any(
             &model,
             &data,
             &golden,
             &plan,
-            &space,
+            CampaignSpace::Weight(&space),
             7,
             &resume_cfg,
             &Ieee754Corruption,
             &checkpoint,
             None,
+            Probe::disabled(),
             &mut |_| {},
         )
         .unwrap();
@@ -1029,37 +718,42 @@ mod tests {
         let plan = plan_layer_wise(&space, &loose_spec());
         let cfg = CampaignConfig::default();
         let dir = tmp_dir("mismatch");
-        let run = execute_plan_checkpointed(
+        let run = execute_plan_checkpointed_traced_any(
             &model,
             &data,
             &golden,
             &plan,
-            &space,
+            CampaignSpace::Weight(&space),
             1,
             &cfg,
             &Ieee754Corruption,
             &CheckpointConfig::new(&dir),
             None,
+            Probe::disabled(),
             &mut |_| {},
         );
         assert!(run.is_ok());
         // Same journal, different seed: the fingerprint must not match.
         let checkpoint = CheckpointConfig { dir: dir.clone(), resume: true, checkpoint_every: 64 };
-        let err = execute_plan_checkpointed(
+        let err = execute_plan_checkpointed_traced_any(
             &model,
             &data,
             &golden,
             &plan,
-            &space,
+            CampaignSpace::Weight(&space),
             2,
             &cfg,
             &Ieee754Corruption,
             &checkpoint,
             None,
+            Probe::disabled(),
             &mut |_| {},
         )
         .unwrap_err();
-        assert!(matches!(err, SfiError::FaultSim(FaultSimError::CheckpointMismatch { .. })));
+        assert!(matches!(
+            err,
+            SfiError::FaultSim(sfi_faultsim::FaultSimError::CheckpointMismatch { .. })
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1069,22 +763,22 @@ mod tests {
         let plan = plan_layer_wise(&space, &loose_spec());
         let cfg1 = CampaignConfig { workers: 1, ..CampaignConfig::default() };
         let cfg8 = CampaignConfig { workers: 8, ..CampaignConfig::default() };
-        let sampled = sample_strata(&plan, &space, 3).unwrap();
-        let a = plan_fingerprint(&plan, 3, data.len(), &cfg1, &sampled);
-        let b = plan_fingerprint(&plan, 3, data.len(), &cfg8, &sampled);
+        let sampled = sample_strata_any(&plan, CampaignSpace::Weight(&space), 3).unwrap();
+        let a = plan_fingerprint_any(&plan, 3, data.len(), &cfg1, &sampled);
+        let b = plan_fingerprint_any(&plan, 3, data.len(), &cfg8, &sampled);
         assert_eq!(a, b, "worker count must not invalidate a checkpoint");
         let naive =
             CampaignConfig { kernel: sfi_nn::KernelPolicy::Naive, ..CampaignConfig::default() };
-        let k = plan_fingerprint(&plan, 3, data.len(), &naive, &sampled);
+        let k = plan_fingerprint_any(&plan, 3, data.len(), &naive, &sampled);
         assert_eq!(a, k, "kernel policy must not invalidate a checkpoint");
         let no_conv = CampaignConfig { convergence: false, ..CampaignConfig::default() };
-        let v = plan_fingerprint(&plan, 3, data.len(), &no_conv, &sampled);
+        let v = plan_fingerprint_any(&plan, 3, data.len(), &no_conv, &sampled);
         assert_eq!(a, v, "the convergence early exit must not invalidate a checkpoint");
         let strict = CampaignConfig {
             criterion: Criterion::MismatchRate { threshold: 0.5 },
             ..CampaignConfig::default()
         };
-        let c = plan_fingerprint(&plan, 3, data.len(), &strict, &sampled);
+        let c = plan_fingerprint_any(&plan, 3, data.len(), &strict, &sampled);
         assert_ne!(a, c, "the classification criterion is part of the plan identity");
     }
 
@@ -1096,23 +790,33 @@ mod tests {
         let (model, data, golden, space) = setup();
         let plan = plan_layer_wise(&space, &loose_spec());
         let base = CampaignConfig::default();
-        let plain = crate::execute::execute_plan(&model, &data, &golden, &plan, 13, &base).unwrap();
+        let plain = execute_untraced(
+            &model,
+            &data,
+            &golden,
+            &plan,
+            CampaignSpace::Weight(&space),
+            13,
+            &base,
+        )
+        .unwrap();
         for (first_conv, second_conv) in [(true, false), (false, true)] {
             let dir = tmp_dir(if first_conv { "conv-on-off" } else { "conv-off-on" });
             let first_cfg = CampaignConfig { convergence: first_conv, ..base };
             let token = CancelToken::new();
             let stop_at = plain.injections() / 2;
-            let run = execute_plan_checkpointed(
+            let run = execute_plan_checkpointed_traced_any(
                 &model,
                 &data,
                 &golden,
                 &plan,
-                &space,
+                CampaignSpace::Weight(&space),
                 13,
                 &first_cfg,
                 &Ieee754Corruption,
                 &CheckpointConfig::new(&dir),
                 Some(&token),
+                Probe::disabled(),
                 &mut |p| {
                     if p.plan_completed >= stop_at {
                         token.cancel();
@@ -1124,17 +828,18 @@ mod tests {
             let second_cfg = CampaignConfig { convergence: second_conv, ..base };
             let checkpoint =
                 CheckpointConfig { dir: dir.clone(), resume: true, checkpoint_every: 64 };
-            let run = execute_plan_checkpointed(
+            let run = execute_plan_checkpointed_traced_any(
                 &model,
                 &data,
                 &golden,
                 &plan,
-                &space,
+                CampaignSpace::Weight(&space),
                 13,
                 &second_cfg,
                 &Ieee754Corruption,
                 &checkpoint,
                 None,
+                Probe::disabled(),
                 &mut |_| {},
             )
             .unwrap();
@@ -1154,22 +859,32 @@ mod tests {
         let (model, data, golden, space) = setup();
         let plan = plan_layer_wise(&space, &loose_spec());
         let cfg = CampaignConfig::default();
-        let plain = crate::execute::execute_plan(&model, &data, &golden, &plan, 11, &cfg).unwrap();
-        let dir = tmp_dir("two-corrupt");
-        // Session 1: interrupt partway so segment-000001 seals a prefix.
-        let token = CancelToken::new();
-        let stop_at = plain.injections() * 2 / 5;
-        let run = execute_plan_checkpointed(
+        let plain = execute_untraced(
             &model,
             &data,
             &golden,
             &plan,
-            &space,
+            CampaignSpace::Weight(&space),
+            11,
+            &cfg,
+        )
+        .unwrap();
+        let dir = tmp_dir("two-corrupt");
+        // Session 1: interrupt partway so segment-000001 seals a prefix.
+        let token = CancelToken::new();
+        let stop_at = plain.injections() * 2 / 5;
+        let run = execute_plan_checkpointed_traced_any(
+            &model,
+            &data,
+            &golden,
+            &plan,
+            CampaignSpace::Weight(&space),
             11,
             &cfg,
             &Ieee754Corruption,
             &CheckpointConfig::new(&dir),
             Some(&token),
+            Probe::disabled(),
             &mut |p| {
                 if p.plan_completed >= stop_at {
                     token.cancel();
@@ -1180,17 +895,18 @@ mod tests {
         assert!(matches!(run, CampaignRun::Interrupted { .. }));
         // Session 2: resume to completion, sealing segment-000002.
         let checkpoint = CheckpointConfig { dir: dir.clone(), resume: true, checkpoint_every: 64 };
-        let run = execute_plan_checkpointed(
+        let run = execute_plan_checkpointed_traced_any(
             &model,
             &data,
             &golden,
             &plan,
-            &space,
+            CampaignSpace::Weight(&space),
             11,
             &cfg,
             &Ieee754Corruption,
             &checkpoint,
             None,
+            Probe::disabled(),
             &mut |_| {},
         )
         .unwrap();
@@ -1206,17 +922,18 @@ mod tests {
         }
         // Session 3: recovery drops the two torn records, re-executes those
         // two faults, and the merged outcome still matches the clean run.
-        let run = execute_plan_checkpointed(
+        let run = execute_plan_checkpointed_traced_any(
             &model,
             &data,
             &golden,
             &plan,
-            &space,
+            CampaignSpace::Weight(&space),
             11,
             &cfg,
             &Ieee754Corruption,
             &checkpoint,
             None,
+            Probe::disabled(),
             &mut |_| {},
         )
         .unwrap();
@@ -1234,32 +951,34 @@ mod tests {
         let plan = plan_layer_wise(&space, &loose_spec());
         let cfg = CampaignConfig::default();
         let dir = tmp_dir("noop");
-        let first = execute_plan_checkpointed(
+        let first = execute_plan_checkpointed_traced_any(
             &model,
             &data,
             &golden,
             &plan,
-            &space,
+            CampaignSpace::Weight(&space),
             9,
             &cfg,
             &Ieee754Corruption,
             &CheckpointConfig::new(&dir),
             None,
+            Probe::disabled(),
             &mut |_| {},
         )
         .unwrap();
         let checkpoint = CheckpointConfig { dir: dir.clone(), resume: true, checkpoint_every: 64 };
-        let second = execute_plan_checkpointed(
+        let second = execute_plan_checkpointed_traced_any(
             &model,
             &data,
             &golden,
             &plan,
-            &space,
+            CampaignSpace::Weight(&space),
             9,
             &cfg,
             &Ieee754Corruption,
             &checkpoint,
             None,
+            Probe::disabled(),
             &mut |_| {},
         )
         .unwrap();

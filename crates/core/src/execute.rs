@@ -1,5 +1,7 @@
 //! Executing an [`SfiPlan`]: sampling, injecting, classifying, estimating.
 
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -8,12 +10,13 @@ use serde::{Deserialize, Serialize};
 
 use sfi_dataset::Dataset;
 use sfi_faultsim::activation::ActivationSpace;
-use sfi_faultsim::campaign::{CampaignConfig, Corruption, FaultClass, Ieee754Corruption};
-use sfi_faultsim::executor::{with_executor_probed, CampaignTelemetry};
-use sfi_faultsim::fault::Fault;
+use sfi_faultsim::campaign::{CampaignConfig, CampaignResult, Corruption, FaultClass};
+use sfi_faultsim::executor::{with_executor, CampaignTelemetry, CancelToken, FaultOutcome};
 use sfi_faultsim::golden::GoldenReference;
+use sfi_faultsim::journal::FaultId;
 use sfi_faultsim::multi::{AccumulatedFault, CampaignFault, FaultTarget};
 use sfi_faultsim::population::{FaultSpace, Subpopulation};
+use sfi_faultsim::FaultSimError;
 use sfi_nn::Model;
 use sfi_obs::{Event, Probe};
 use sfi_stats::confidence::Confidence;
@@ -66,8 +69,8 @@ pub struct LayerTally {
     pub successes: u64,
 }
 
-/// Live progress of a plan execution, delivered to the observer of
-/// [`execute_plan_observed`] after every classified fault.
+/// Live progress of a plan execution, delivered to the `progress` observer
+/// of [`execute_plan_traced_any`] after every classified fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanProgress {
     /// Index of the stratum currently executing (plan order).
@@ -181,161 +184,10 @@ impl SfiOutcome {
     }
 }
 
-/// Executes `plan` against `model` on `data`.
-///
-/// Sampling is deterministic in `seed` (each stratum derives an independent
-/// sub-seed), so outcomes are reproducible and different samples `S0..S9`
-/// (paper Fig. 6) are obtained by varying `seed`.
-///
-/// # Errors
-///
-/// Returns an error when the plan does not fit the model's fault space,
-/// sampling fails, or the underlying campaign fails.
-///
-/// # Example
-///
-/// ```
-/// use sfi_core::execute::execute_plan;
-/// use sfi_core::plan::plan_layer_wise;
-/// use sfi_dataset::SynthCifarConfig;
-/// use sfi_faultsim::campaign::CampaignConfig;
-/// use sfi_faultsim::golden::GoldenReference;
-/// use sfi_faultsim::population::FaultSpace;
-/// use sfi_nn::resnet::ResNetConfig;
-/// use sfi_stats::confidence::Confidence;
-/// use sfi_stats::sample_size::SampleSpec;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let model = ResNetConfig::resnet20_micro().build_seeded(1)?;
-/// let data = SynthCifarConfig::new().with_size(16).with_samples(2).generate();
-/// let golden = GoldenReference::build(&model, &data)?;
-/// let space = FaultSpace::stuck_at(&model);
-/// // A deliberately loose spec to keep the doctest fast.
-/// let spec = SampleSpec { error_margin: 0.2, ..SampleSpec::paper_default() };
-/// let plan = plan_layer_wise(&space, &spec);
-/// let outcome = execute_plan(&model, &data, &golden, &plan, 7, &CampaignConfig::default())?;
-/// let est = outcome.network_estimate(Confidence::C99)?;
-/// assert!((0.0..=1.0).contains(&est.proportion));
-/// # Ok(())
-/// # }
-/// ```
-pub fn execute_plan(
-    model: &Model,
-    data: &Dataset,
-    golden: &GoldenReference,
-    plan: &SfiPlan,
-    seed: u64,
-    campaign_cfg: &CampaignConfig,
-) -> Result<SfiOutcome, SfiError> {
-    let space = FaultSpace::stuck_at(model);
-    execute_plan_in_space(model, data, golden, plan, &space, seed, campaign_cfg, &Ieee754Corruption)
-}
-
-/// Executes `plan` against an explicit fault space with a custom
-/// [`Corruption`] model.
-///
-/// This is the entry point for reduced-precision representations: the space
-/// carries the format's bit width (`FaultSpace::with_bits`) and the
-/// corruption strikes the encoded weight (see the `sfi-repr` crate).
-///
-/// # Errors
-///
-/// Same conditions as [`execute_plan`].
-#[allow(clippy::too_many_arguments)]
-pub fn execute_plan_in_space<C: Corruption>(
-    model: &Model,
-    data: &Dataset,
-    golden: &GoldenReference,
-    plan: &SfiPlan,
-    space: &FaultSpace,
-    seed: u64,
-    campaign_cfg: &CampaignConfig,
-    corruption: &C,
-) -> Result<SfiOutcome, SfiError> {
-    execute_plan_observed(
-        model,
-        data,
-        golden,
-        plan,
-        space,
-        seed,
-        campaign_cfg,
-        corruption,
-        &mut |_| {},
-    )
-}
-
-/// Executes `plan` against any [`CampaignSpace`] without tracing — the
-/// fault-model-generic sibling of [`execute_plan_in_space`].
-///
-/// # Errors
-///
-/// Same conditions as [`execute_plan_traced_any`].
-#[allow(clippy::too_many_arguments)]
-pub fn execute_plan_any<C: Corruption>(
-    model: &Model,
-    data: &Dataset,
-    golden: &GoldenReference,
-    plan: &SfiPlan,
-    space: CampaignSpace<'_>,
-    seed: u64,
-    campaign_cfg: &CampaignConfig,
-    corruption: &C,
-) -> Result<SfiOutcome, SfiError> {
-    execute_plan_traced_any(
-        model,
-        data,
-        golden,
-        plan,
-        space,
-        seed,
-        campaign_cfg,
-        corruption,
-        Probe::disabled(),
-        &mut |_| {},
-    )
-}
-
-/// [`execute_plan_in_space`] with a progress observer, called after every
-/// classified fault with plan-wide completion and inference counts.
-///
-/// All strata are sampled up front, then executed against **one** worker
-/// pool ([`with_executor`]): each worker's model clone is built once and
-/// amortised across the entire plan instead of once per stratum.
-///
-/// # Errors
-///
-/// Same conditions as [`execute_plan`].
-#[allow(clippy::too_many_arguments)]
-pub fn execute_plan_observed<C: Corruption>(
-    model: &Model,
-    data: &Dataset,
-    golden: &GoldenReference,
-    plan: &SfiPlan,
-    space: &FaultSpace,
-    seed: u64,
-    campaign_cfg: &CampaignConfig,
-    corruption: &C,
-    progress: &mut dyn FnMut(PlanProgress),
-) -> Result<SfiOutcome, SfiError> {
-    execute_plan_traced(
-        model,
-        data,
-        golden,
-        plan,
-        space,
-        seed,
-        campaign_cfg,
-        corruption,
-        Probe::disabled(),
-        progress,
-    )
-}
-
 /// The display label of a stratum (matches the telemetry report). Weight
 /// strata index layers (`L3/b17`); transient strata index node groups
 /// (`N3/b17`).
-pub(crate) fn stratum_label_any(target: FaultTarget, stratum: &Stratum) -> String {
+pub(crate) fn stratum_label(target: FaultTarget, stratum: &Stratum) -> String {
     let tag = if target == FaultTarget::Weight { 'L' } else { 'N' };
     match (stratum.layer, stratum.bit) {
         (None, _) => "network".to_string(),
@@ -368,52 +220,75 @@ pub(crate) fn class_name(class: FaultClass) -> &'static str {
     }
 }
 
-/// [`execute_plan_observed`] with an observability probe: emits
-/// `campaign_start` / `stratum_start` / `fault` / `stratum_end` /
-/// `campaign_end` spans to the probe's event stream and lets the executor
-/// record per-worker metrics into it. With [`Probe::disabled`] this is
-/// exactly [`execute_plan_observed`] — classifications and estimates are
-/// byte-identical at every trace level.
+/// Executes `plan` against `model` on `data` — the plan entry point behind
+/// weight, transient-activation/input, and accumulated campaigns.
+///
+/// - `space` selects the fault population the plan's strata resolve in;
+///   [`SfiError::PlanMismatch`] when the plan's fault model does not match
+///   the space variant.
+/// - `corruption` produces each weight fault's faulty value:
+///   [`Ieee754Corruption`](sfi_faultsim::campaign::Ieee754Corruption) for
+///   the paper's IEEE-754 setting, or a reduced-precision format's
+///   corruption (the space then carries the format's bit width, see
+///   `FaultSpace::with_bits` and the `sfi-repr` crate).
+/// - `probe` receives `campaign_start` / `plan_compiled` /
+///   `stratum_start` / `fault` / `stratum_end` / `campaign_end` events and
+///   per-worker metrics; pass [`Probe::disabled`] for an untraced run.
+/// - `progress` is called after every classified fault with plan-wide
+///   completion and inference counts.
+///
+/// Sampling is deterministic in `seed` (each stratum derives an independent
+/// sub-seed), so outcomes are reproducible and different samples `S0..S9`
+/// (paper Fig. 6) are obtained by varying `seed`. All strata are sampled up
+/// front, then executed against **one** worker pool
+/// ([`with_executor`]): each worker's model clone is built once and
+/// amortised across the entire plan. Classifications and estimates are
+/// byte-identical across worker counts and trace levels.
 ///
 /// # Errors
 ///
-/// Same conditions as [`execute_plan`].
-#[allow(clippy::too_many_arguments)]
-pub fn execute_plan_traced<C: Corruption>(
-    model: &Model,
-    data: &Dataset,
-    golden: &GoldenReference,
-    plan: &SfiPlan,
-    space: &FaultSpace,
-    seed: u64,
-    campaign_cfg: &CampaignConfig,
-    corruption: &C,
-    probe: &Probe,
-    progress: &mut dyn FnMut(PlanProgress),
-) -> Result<SfiOutcome, SfiError> {
-    execute_plan_traced_any(
-        model,
-        data,
-        golden,
-        plan,
-        CampaignSpace::Weight(space),
-        seed,
-        campaign_cfg,
-        corruption,
-        probe,
-        progress,
-    )
-}
-
-/// [`execute_plan_traced`] over any [`CampaignSpace`]: the fault-model-
-/// generic plan executor behind weight, transient-activation/input, and
-/// accumulated campaigns. Classifications and estimates are byte-identical
-/// across worker counts and trace levels, exactly as for weight plans.
+/// Returns an error when the plan does not fit the model's fault space,
+/// sampling fails, or the underlying campaign fails.
 ///
-/// # Errors
+/// # Example
 ///
-/// Same conditions as [`execute_plan`], plus [`SfiError::PlanMismatch`]
-/// when the plan's fault model does not match the space variant.
+/// ```
+/// use sfi_core::execute::{execute_plan_traced_any, CampaignSpace};
+/// use sfi_core::plan::plan_layer_wise;
+/// use sfi_dataset::SynthCifarConfig;
+/// use sfi_faultsim::campaign::{CampaignConfig, Ieee754Corruption};
+/// use sfi_faultsim::golden::GoldenReference;
+/// use sfi_faultsim::population::FaultSpace;
+/// use sfi_nn::resnet::ResNetConfig;
+/// use sfi_obs::Probe;
+/// use sfi_stats::confidence::Confidence;
+/// use sfi_stats::sample_size::SampleSpec;
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let model = ResNetConfig::resnet20_micro().build_seeded(1)?;
+/// let data = SynthCifarConfig::new().with_size(16).with_samples(2).generate();
+/// let golden = GoldenReference::build(&model, &data)?;
+/// let space = FaultSpace::stuck_at(&model);
+/// // A deliberately loose spec to keep the doctest fast.
+/// let spec = SampleSpec { error_margin: 0.2, ..SampleSpec::paper_default() };
+/// let plan = plan_layer_wise(&space, &spec);
+/// let outcome = execute_plan_traced_any(
+///     &model,
+///     &data,
+///     &golden,
+///     &plan,
+///     CampaignSpace::Weight(&space),
+///     7,
+///     &CampaignConfig::default(),
+///     &Ieee754Corruption,
+///     Probe::disabled(),
+///     &mut |_| {},
+/// )?;
+/// let est = outcome.network_estimate(Confidence::C99)?;
+/// assert!((0.0..=1.0).contains(&est.proportion));
+/// # Ok(())
+/// # }
+/// ```
 #[allow(clippy::too_many_arguments)]
 pub fn execute_plan_traced_any<C: Corruption>(
     model: &Model,
@@ -428,12 +303,91 @@ pub fn execute_plan_traced_any<C: Corruption>(
     progress: &mut dyn FnMut(PlanProgress),
 ) -> Result<SfiOutcome, SfiError> {
     let start = Instant::now();
-    // Phase 1 — resolve and sample every stratum (plan/sampling errors
-    // surface before any worker is spawned).
+    // Resolve and sample every stratum first, so plan/sampling errors
+    // surface before any worker is spawned.
     let sampled = sample_strata_any(plan, space, seed)?;
-    // Phase 2 — one executor session across all strata.
+    let driven = run_strata(
+        model,
+        data,
+        golden,
+        plan,
+        &sampled,
+        campaign_cfg,
+        corruption,
+        probe,
+        progress,
+        Checkpointing {
+            done: &DoneMap::new(),
+            dropped: None,
+            cancel: None,
+            on_fault: &mut |_, _, _| Ok(()),
+        },
+    )?;
+    let results = driven.results.expect("only a cancel token stops a run early");
+    Ok(assemble_outcome(plan, space, &sampled, &results, start.elapsed(), probe))
+}
+
+/// Classifications a run resumes from, keyed by fault position in the plan,
+/// with each fault's inference cost.
+pub(crate) type DoneMap = HashMap<FaultId, (FaultClass, u64)>;
+
+/// What a checkpointed run adds to [`run_strata`]. A plain run passes an
+/// empty `done` map, no `dropped` count, no cancel token and a no-op sink.
+pub(crate) struct Checkpointing<'a> {
+    /// Faults already classified; the loop skips them and merges their
+    /// classes back in fault order.
+    pub done: &'a DoneMap,
+    /// Corrupt journal records dropped during recovery; `Some` marks a
+    /// resumed run and emits the `resume` event.
+    pub dropped: Option<u64>,
+    /// Stops the run at the next fault boundary when armed.
+    pub cancel: Option<&'a CancelToken>,
+    /// Called once per freshly classified fault, in completion order (the
+    /// journal append); its first error ends the run after the stratum.
+    pub on_fault: &'a mut dyn FnMut(FaultId, FaultClass, u64) -> Result<(), FaultSimError>,
+}
+
+/// What [`run_strata`] hands back.
+pub(crate) struct StrataRun {
+    /// Per-stratum results in plan order, resumed classes merged back into
+    /// fault order; `None` when the cancel token stopped the run.
+    pub results: Option<Vec<CampaignResult>>,
+    /// Faults classified by this session.
+    pub completed: u64,
+    /// Resumed faults per stratum, in plan order.
+    pub per_stratum_resumed: Vec<u64>,
+}
+
+/// The stratum loop both plan entry points run through: emits the
+/// campaign-level events, then runs every stratum's not-yet-classified
+/// faults against one executor session, with per-stratum spans, plan-wide
+/// progress, and per-fault events.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_strata<C: Corruption>(
+    model: &Model,
+    data: &Dataset,
+    golden: &GoldenReference,
+    plan: &SfiPlan,
+    sampled: &[Vec<CampaignFault>],
+    campaign_cfg: &CampaignConfig,
+    corruption: &C,
+    probe: &Probe,
+    progress: &mut dyn FnMut(PlanProgress),
+    checkpointing: Checkpointing<'_>,
+) -> Result<StrataRun, FaultSimError> {
+    let Checkpointing { done, dropped, cancel, on_fault } = checkpointing;
     let n_strata = sampled.len();
     let plan_total: u64 = sampled.iter().map(|f| f.len() as u64).sum();
+    // Split every stratum into resumed faults and the indices still to run.
+    let todo: Vec<Vec<usize>> = sampled
+        .iter()
+        .enumerate()
+        .map(|(s, faults)| {
+            (0..faults.len()).filter(|&i| !done.contains_key(&FaultId::new(s, i))).collect()
+        })
+        .collect();
+    let per_stratum_resumed: Vec<u64> =
+        sampled.iter().zip(&todo).map(|(f, t)| (f.len() - t.len()) as u64).collect();
     probe.emit(&Event::CampaignStart {
         strata: n_strata,
         faults: plan_total,
@@ -447,104 +401,142 @@ pub fn execute_plan_traced_any<C: Corruption>(
         lowerable_convs: (0..exec_plan.len()).filter(|&i| exec_plan.is_lowerable_conv(i)).count(),
         batched: campaign_cfg.batched,
     });
-    let results =
-        with_executor_probed(model, data, golden, campaign_cfg, corruption, probe, |exec| {
-            let mut results = Vec::with_capacity(n_strata);
-            let mut done_before = 0u64;
-            let mut inferences_before = 0u64;
-            for (idx, faults) in sampled.iter().enumerate() {
-                if probe.spans() {
-                    let label = stratum_label_any(plan.target(), &plan.strata()[idx]);
-                    probe.emit(&Event::StratumStart {
-                        stratum: idx,
-                        label: &label,
-                        faults: faults.len() as u64,
-                    });
-                }
-                let result = exec.run_any_with(
-                    faults,
-                    &mut |p| {
-                        progress(PlanProgress {
-                            stratum: idx,
-                            strata: n_strata,
-                            completed: p.completed,
-                            total: p.total,
-                            plan_completed: done_before + p.completed,
-                            plan_total,
-                            inferences: inferences_before + p.inferences,
-                        })
-                    },
-                    &mut |fault_idx, class, cost| {
-                        probe.emit(&Event::Fault {
-                            stratum: idx,
-                            index: fault_idx,
-                            class: class_name(class),
-                            inferences: cost,
-                        });
-                    },
-                    None,
-                )?;
-                if probe.spans() {
-                    let tel = CampaignTelemetry::from_result(&result);
-                    probe.emit(&Event::StratumEnd {
-                        stratum: idx,
-                        injections: tel.injections,
-                        masked: tel.masked,
-                        critical: tel.critical,
-                        non_critical: tel.non_critical,
-                        failures: tel.exec_failures,
-                        lowering_hits: tel.lowering_hits,
-                        lowering_misses: tel.lowering_misses,
-                        converged: tel.converged,
-                        nodes_skipped: tel.nodes_skipped,
-                        delta_sparse: tel.delta_sparse_nodes,
-                        delta_fallbacks: tel.delta_fallbacks,
-                        delta_dirty_blocks: tel.delta_dirty_blocks,
-                        wall_ms: tel.wall.as_secs_f64() * 1e3,
-                    });
-                }
-                done_before += result.injections;
-                inferences_before += result.inferences;
-                results.push(result);
+    if let Some(dropped) = dropped {
+        probe.emit(&Event::Resume { resumed: per_stratum_resumed.iter().sum(), dropped });
+    }
+    let mut completed = 0u64;
+    let mut sink_error: Option<FaultSimError> = None;
+    let mut session: Vec<Option<CampaignResult>> = Vec::with_capacity(n_strata);
+    let mut interrupted = false;
+    with_executor(model, data, golden, campaign_cfg, corruption, probe, |exec| {
+        let mut done_before: u64 = per_stratum_resumed.iter().sum();
+        let mut inferences_before = 0u64;
+        for (s, indices) in todo.iter().enumerate() {
+            interrupted |= cancel.is_some_and(|t| t.is_cancelled());
+            // A stratum the journal fully covers has nothing left to run.
+            if interrupted || (indices.is_empty() && per_stratum_resumed[s] > 0) {
+                session.push(None);
+                continue;
             }
-            Ok(results)
-        })?;
-    // Phase 3 — assemble outcomes, tallies, and telemetry.
-    let outcome = assemble_outcome_any(plan, space, &sampled, &results, start.elapsed());
-    probe.emit(&Event::CampaignEnd {
-        injections: outcome.injections,
-        inferences: outcome.inferences,
-        wall_ms: outcome.elapsed.as_secs_f64() * 1e3,
-    });
-    Ok(outcome)
+            if probe.spans() {
+                let label = stratum_label(plan.target(), &plan.strata()[s]);
+                probe.emit(&Event::StratumStart {
+                    stratum: s,
+                    label: &label,
+                    faults: indices.len() as u64,
+                });
+            }
+            let subset: Cow<'_, [CampaignFault]> = if per_stratum_resumed[s] == 0 {
+                Cow::Borrowed(&sampled[s])
+            } else {
+                Cow::Owned(indices.iter().map(|&i| sampled[s][i].clone()).collect())
+            };
+            let stratum_total = sampled[s].len() as u64;
+            let stratum_resumed = per_stratum_resumed[s];
+            let out = exec.run(
+                &subset,
+                &mut |p| {
+                    progress(PlanProgress {
+                        stratum: s,
+                        strata: n_strata,
+                        completed: stratum_resumed + p.completed,
+                        total: stratum_total,
+                        plan_completed: done_before + p.completed,
+                        plan_total,
+                        inferences: inferences_before + p.inferences,
+                    })
+                },
+                &mut |subset_idx, class, cost| {
+                    completed += 1;
+                    let index = indices[subset_idx];
+                    probe.emit(&Event::Fault {
+                        stratum: s,
+                        index,
+                        class: class_name(class),
+                        inferences: cost,
+                    });
+                    if sink_error.is_none() {
+                        sink_error = on_fault(FaultId::new(s, index), class, cost).err();
+                    }
+                },
+                cancel,
+            );
+            match out {
+                Ok(result) => {
+                    if probe.spans() {
+                        let tel = CampaignTelemetry::from_result(&result);
+                        probe.emit(&Event::StratumEnd {
+                            stratum: s,
+                            injections: tel.injections,
+                            masked: tel.masked,
+                            critical: tel.critical,
+                            non_critical: tel.non_critical,
+                            failures: tel.exec_failures,
+                            lowering_hits: tel.lowering_hits,
+                            lowering_misses: tel.lowering_misses,
+                            converged: tel.converged,
+                            nodes_skipped: tel.nodes_skipped,
+                            delta_sparse: tel.delta_sparse_nodes,
+                            delta_fallbacks: tel.delta_fallbacks,
+                            delta_dirty_blocks: tel.delta_dirty_blocks,
+                            wall_ms: tel.wall.as_secs_f64() * 1e3,
+                        });
+                    }
+                    done_before += result.injections;
+                    inferences_before += result.inferences;
+                    session.push(Some(result));
+                }
+                Err(FaultSimError::Cancelled { .. }) => {
+                    interrupted = true;
+                    session.push(None);
+                }
+                Err(e) => return Err(e),
+            }
+            if let Some(e) = sink_error.take() {
+                return Err(e);
+            }
+        }
+        Ok(())
+    })?;
+    let results = if interrupted {
+        None
+    } else {
+        let merged = sampled
+            .iter()
+            .zip(session)
+            .enumerate()
+            .map(|(s, (faults, fresh))| merge_stratum(s, faults.len(), fresh, done))
+            .collect::<Result<Vec<_>, _>>()?;
+        Some(merged)
+    };
+    Ok(StrataRun { results, completed, per_stratum_resumed })
 }
 
-/// Resolves and samples every stratum of `plan` (phase 1 of execution).
-///
-/// Sampling is deterministic in `seed`: each stratum derives an
-/// independent sub-seed, so the same `(plan, seed)` pair always yields the
-/// same fault lists — the property checkpoint resume relies on.
-pub(crate) fn sample_strata(
-    plan: &SfiPlan,
-    space: &FaultSpace,
-    seed: u64,
-) -> Result<Vec<Vec<Fault>>, SfiError> {
-    let mut sampled: Vec<Vec<Fault>> = Vec::with_capacity(plan.strata().len());
-    for (idx, stratum) in plan.strata().iter().enumerate() {
-        let subpop = resolve(space, stratum)?;
-        if subpop.size() != stratum.population {
-            return Err(SfiError::PlanMismatch {
-                reason: format!(
-                    "stratum {idx} plans population {} but the model provides {}",
-                    stratum.population,
-                    subpop.size()
-                ),
-            });
-        }
-        let indices = sample_stratum_indices(seed, idx, subpop.size(), stratum.sample)?;
-        sampled.push(subpop.faults_at(&indices)?);
+/// Merges a stratum's resumed classifications with the session's fresh
+/// result back into fault order. Engine, early-exit, cache and arena
+/// counters describe only the fresh session's work: a resumed fault adds
+/// its class and inference cost alone — the journal stores
+/// classifications, not exit depths.
+fn merge_stratum(
+    s: usize,
+    len: usize,
+    fresh: Option<CampaignResult>,
+    done: &DoneMap,
+) -> Result<CampaignResult, FaultSimError> {
+    let mut result = fresh.unwrap_or_default();
+    let mut fresh_classes = std::mem::take(&mut result.classes).into_iter();
+    for i in 0..len {
+        let class = match done.get(&FaultId::new(s, i)) {
+            Some(&(class, cost)) => {
+                result.record(&FaultOutcome { class, inferences: cost, ..FaultOutcome::masked() });
+                class
+            }
+            None => fresh_classes.next().ok_or(FaultSimError::MissingResult { index: i })?,
+        };
+        result.classes.push(class);
     }
-    Ok(sampled)
+    result.injections = len as u64;
+    Ok(result)
 }
 
 /// Draws a stratum's sample indices from its independent sub-seeded RNG —
@@ -562,10 +554,14 @@ fn sample_stratum_indices(
 }
 
 /// Resolves and samples every stratum of `plan` against any
-/// [`CampaignSpace`] (phase 1 of fault-model-generic execution).
+/// [`CampaignSpace`] (phase 1 of execution).
 ///
-/// - Weight plans delegate to [`sample_strata`], so generic execution of a
-///   weight plan injects **exactly** the faults the weight-only path does.
+/// Sampling is deterministic in `seed`: each stratum derives an
+/// independent sub-seed, so the same `(plan, seed)` pair always yields the
+/// same fault lists — the property checkpoint resume relies on.
+///
+/// - Weight plans resolve strata as network, layer, or layer-bit
+///   subpopulations of the weight space.
 /// - Transient plans resolve strata as node groups (all-bits or per-bit)
 ///   of the activation space.
 /// - Accumulated plans draw `stratum.sample` instances, each a `k`-subset
@@ -592,10 +588,22 @@ pub(crate) fn sample_strata_any(
                     ),
                 });
             }
-            Ok(sample_strata(plan, ws, seed)?
-                .into_iter()
-                .map(|faults| faults.into_iter().map(CampaignFault::Weight).collect())
-                .collect())
+            let mut sampled = Vec::with_capacity(plan.strata().len());
+            for (idx, stratum) in plan.strata().iter().enumerate() {
+                let subpop = resolve(ws, stratum)?;
+                if subpop.size() != stratum.population {
+                    return Err(SfiError::PlanMismatch {
+                        reason: format!(
+                            "stratum {idx} plans population {} but the model provides {}",
+                            stratum.population,
+                            subpop.size()
+                        ),
+                    });
+                }
+                let indices = sample_stratum_indices(seed, idx, subpop.size(), stratum.sample)?;
+                sampled.push(subpop.faults_at(&indices)?.into_iter().map(Into::into).collect());
+            }
+            Ok(sampled)
         }
         CampaignSpace::Transient(acts) => {
             if plan.target() == FaultTarget::Weight || plan.accumulate() != 1 {
@@ -678,18 +686,19 @@ pub(crate) fn sample_strata_any(
     }
 }
 
-/// Builds the [`SfiOutcome`] from per-stratum campaign results (phase 3 of
-/// execution; shared with checkpointed execution).
+/// Builds the [`SfiOutcome`] from per-stratum campaign results and emits
+/// the `campaign_end` event (phase 3 of both plan entry points).
 ///
 /// Faults recorded as [`FaultClass::ExecutionFailure`] are excluded from
 /// each stratum's statistical sample — they produced no classification, so
 /// counting them would silently bias the estimate downwards.
-pub(crate) fn assemble_outcome_any(
+pub(crate) fn assemble_outcome(
     plan: &SfiPlan,
     space: CampaignSpace<'_>,
     sampled: &[Vec<CampaignFault>],
-    results: &[sfi_faultsim::campaign::CampaignResult],
+    results: &[CampaignResult],
     elapsed: Duration,
+    probe: &Probe,
 ) -> SfiOutcome {
     let mut strata = Vec::with_capacity(results.len());
     let mut stratum_telemetry = Vec::with_capacity(results.len());
@@ -752,6 +761,11 @@ pub(crate) fn assemble_outcome_any(
         }
         CampaignSpace::Accumulated { .. } => Vec::new(),
     };
+    probe.emit(&Event::CampaignEnd {
+        injections,
+        inferences,
+        wall_ms: elapsed.as_secs_f64() * 1e3,
+    });
     SfiOutcome {
         scheme: plan.scheme(),
         strata,
@@ -777,6 +791,32 @@ pub fn is_success(class: FaultClass) -> bool {
     class.is_critical()
 }
 
+/// An untraced, unobserved IEEE-754 plan run — the unit tests' shorthand.
+#[cfg(test)]
+pub(crate) fn execute_untraced(
+    model: &Model,
+    data: &Dataset,
+    golden: &GoldenReference,
+    plan: &SfiPlan,
+    space: CampaignSpace<'_>,
+    seed: u64,
+    campaign_cfg: &CampaignConfig,
+) -> Result<SfiOutcome, SfiError> {
+    use sfi_faultsim::campaign::Ieee754Corruption;
+    execute_plan_traced_any(
+        model,
+        data,
+        golden,
+        plan,
+        space,
+        seed,
+        campaign_cfg,
+        &Ieee754Corruption,
+        Probe::disabled(),
+        &mut |_| {},
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -786,6 +826,7 @@ mod tests {
     };
     use sfi_dataset::SynthCifarConfig;
     use sfi_faultsim::activation::ActivationSpace;
+    use sfi_faultsim::campaign::Ieee754Corruption;
     use sfi_nn::resnet::ResNetConfig;
     use sfi_stats::sample_size::SampleSpec;
 
@@ -811,7 +852,7 @@ mod tests {
         let space = ActivationSpace::build_for(&model, &data, target).unwrap();
         let plan = plan_transient(&space, target, scheme, None, &loose_spec()).unwrap();
         let cfg = CampaignConfig { workers, ..CampaignConfig::default() };
-        execute_plan_any(
+        execute_plan_traced_any(
             &model,
             &data,
             &golden,
@@ -820,6 +861,8 @@ mod tests {
             seed,
             &cfg,
             &sfi_faultsim::campaign::Ieee754Corruption,
+            Probe::disabled(),
+            &mut |_| {},
         )
         .unwrap()
     }
@@ -877,7 +920,7 @@ mod tests {
         )
         .unwrap();
         assert!(plan.total_sample() <= unaware.total_sample());
-        let outcome = execute_plan_any(
+        let outcome = execute_plan_traced_any(
             &model,
             &data,
             &golden,
@@ -886,6 +929,8 @@ mod tests {
             3,
             &CampaignConfig::default(),
             &sfi_faultsim::campaign::Ieee754Corruption,
+            Probe::disabled(),
+            &mut |_| {},
         )
         .unwrap();
         assert_eq!(outcome.injections(), plan.total_sample());
@@ -900,7 +945,7 @@ mod tests {
             let plan = plan_accumulated(union, k, &loose_spec()).unwrap();
             assert_eq!(plan.accumulate(), k);
             let run = |workers: usize| {
-                execute_plan_any(
+                execute_plan_traced_any(
                     &model,
                     &data,
                     &golden,
@@ -909,6 +954,8 @@ mod tests {
                     7,
                     &CampaignConfig { workers, ..CampaignConfig::default() },
                     &sfi_faultsim::campaign::Ieee754Corruption,
+                    Probe::disabled(),
+                    &mut |_| {},
                 )
                 .unwrap()
             };
@@ -940,33 +987,19 @@ mod tests {
     }
 
     #[test]
-    fn weight_campaign_through_generic_path_matches_legacy() {
+    fn layer_wise_outcome_has_per_layer_estimates() {
         let (model, data, golden, space) = setup();
         let plan = plan_layer_wise(&space, &loose_spec());
-        let legacy =
-            execute_plan(&model, &data, &golden, &plan, 5, &CampaignConfig::default()).unwrap();
-        let generic = execute_plan_any(
+        let outcome = execute_untraced(
             &model,
             &data,
             &golden,
             &plan,
             CampaignSpace::Weight(&space),
-            5,
+            1,
             &CampaignConfig::default(),
-            &sfi_faultsim::campaign::Ieee754Corruption,
         )
         .unwrap();
-        assert_eq!(legacy.strata(), generic.strata());
-        assert_eq!(legacy.injections(), generic.injections());
-        assert_eq!(legacy.layer_tallies(), generic.layer_tallies());
-    }
-
-    #[test]
-    fn layer_wise_outcome_has_per_layer_estimates() {
-        let (model, data, golden, space) = setup();
-        let plan = plan_layer_wise(&space, &loose_spec());
-        let outcome =
-            execute_plan(&model, &data, &golden, &plan, 1, &CampaignConfig::default()).unwrap();
         assert_eq!(outcome.scheme(), SchemeKind::LayerWise);
         assert_eq!(outcome.injections(), plan.total_sample());
         for l in 0..20 {
@@ -982,8 +1015,16 @@ mod tests {
     fn network_wise_outcome_supports_shaky_per_layer_estimates() {
         let (model, data, golden, space) = setup();
         let plan = plan_network_wise(&space, &loose_spec());
-        let outcome =
-            execute_plan(&model, &data, &golden, &plan, 2, &CampaignConfig::default()).unwrap();
+        let outcome = execute_untraced(
+            &model,
+            &data,
+            &golden,
+            &plan,
+            CampaignSpace::Weight(&space),
+            2,
+            &CampaignConfig::default(),
+        )
+        .unwrap();
         // Big layers certainly received some faults.
         let est = outcome.layer_estimate(14, Confidence::C99).expect("layer 14 sampled");
         // The per-layer sample is only the layer's proportional share of
@@ -991,8 +1032,16 @@ mod tests {
         // campaign gives the same layer, which is why the paper calls
         // per-layer readings of a network-wise SFI statistically invalid.
         let lw_plan = plan_layer_wise(&space, &loose_spec());
-        let lw =
-            execute_plan(&model, &data, &golden, &lw_plan, 2, &CampaignConfig::default()).unwrap();
+        let lw = execute_untraced(
+            &model,
+            &data,
+            &golden,
+            &lw_plan,
+            CampaignSpace::Weight(&space),
+            2,
+            &CampaignConfig::default(),
+        )
+        .unwrap();
         let lw_est = lw.layer_estimate(14, Confidence::C99).unwrap();
         assert!(
             est.sample * 4 < lw_est.sample,
@@ -1011,21 +1060,56 @@ mod tests {
     fn execution_is_deterministic_in_seed() {
         let (model, data, golden, space) = setup();
         let plan = plan_layer_wise(&space, &loose_spec());
-        let a = execute_plan(&model, &data, &golden, &plan, 5, &CampaignConfig::default()).unwrap();
-        let b = execute_plan(&model, &data, &golden, &plan, 5, &CampaignConfig::default()).unwrap();
+        let a = execute_untraced(
+            &model,
+            &data,
+            &golden,
+            &plan,
+            CampaignSpace::Weight(&space),
+            5,
+            &CampaignConfig::default(),
+        )
+        .unwrap();
+        let b = execute_untraced(
+            &model,
+            &data,
+            &golden,
+            &plan,
+            CampaignSpace::Weight(&space),
+            5,
+            &CampaignConfig::default(),
+        )
+        .unwrap();
         assert_eq!(a.strata(), b.strata());
-        let c = execute_plan(&model, &data, &golden, &plan, 6, &CampaignConfig::default()).unwrap();
+        let c = execute_untraced(
+            &model,
+            &data,
+            &golden,
+            &plan,
+            CampaignSpace::Weight(&space),
+            6,
+            &CampaignConfig::default(),
+        )
+        .unwrap();
         // Different seed virtually always gives different tallies somewhere.
         assert!(a.strata() != c.strata() || a.layer_tallies() != c.layer_tallies());
     }
 
     #[test]
     fn plan_for_wrong_model_is_rejected() {
-        let (model, data, golden, _) = setup();
+        let (model, data, golden, space) = setup();
         let other = ResNetConfig::resnet20().build().unwrap();
         let plan = plan_layer_wise(&FaultSpace::stuck_at(&other), &loose_spec());
         assert!(matches!(
-            execute_plan(&model, &data, &golden, &plan, 0, &CampaignConfig::default()),
+            execute_untraced(
+                &model,
+                &data,
+                &golden,
+                &plan,
+                CampaignSpace::Weight(&space),
+                0,
+                &CampaignConfig::default()
+            ),
             Err(SfiError::PlanMismatch { .. })
         ));
     }
@@ -1037,8 +1121,16 @@ mod tests {
         let (model, data, golden, space) = setup();
         let full = plan_data_unaware(&space, &loose_spec());
         let pruned = full.restricted_to_layer(0, &space);
-        let outcome =
-            execute_plan(&model, &data, &golden, &pruned, 3, &CampaignConfig::default()).unwrap();
+        let outcome = execute_untraced(
+            &model,
+            &data,
+            &golden,
+            &pruned,
+            CampaignSpace::Weight(&space),
+            3,
+            &CampaignConfig::default(),
+        )
+        .unwrap();
         assert_eq!(outcome.strata().len(), 32);
         let est = outcome.layer_estimate(0, Confidence::C99).unwrap();
         assert!(est.sample > 0);
@@ -1048,8 +1140,16 @@ mod tests {
     fn telemetry_sums_match_outcome_totals() {
         let (model, data, golden, space) = setup();
         let plan = plan_layer_wise(&space, &loose_spec());
-        let outcome =
-            execute_plan(&model, &data, &golden, &plan, 9, &CampaignConfig::default()).unwrap();
+        let outcome = execute_untraced(
+            &model,
+            &data,
+            &golden,
+            &plan,
+            CampaignSpace::Weight(&space),
+            9,
+            &CampaignConfig::default(),
+        )
+        .unwrap();
         let telemetry = outcome.stratum_telemetry();
         assert_eq!(telemetry.len(), outcome.strata().len());
         let inferences: u64 = telemetry.iter().map(|t| t.inferences).sum();
@@ -1068,15 +1168,16 @@ mod tests {
         let (model, data, golden, space) = setup();
         let plan = plan_layer_wise(&space, &loose_spec());
         let mut seen: Vec<PlanProgress> = Vec::new();
-        let outcome = execute_plan_observed(
+        let outcome = execute_plan_traced_any(
             &model,
             &data,
             &golden,
             &plan,
-            &space,
+            CampaignSpace::Weight(&space),
             11,
             &CampaignConfig::default(),
             &Ieee754Corruption,
+            Probe::disabled(),
             &mut |p| seen.push(p),
         )
         .unwrap();
@@ -1098,19 +1199,31 @@ mod tests {
         let (model, data, golden, space) = setup();
         let plan = plan_layer_wise(&space, &loose_spec());
         let cfg = CampaignConfig { workers: 4, ..CampaignConfig::default() };
-        let plain = execute_plan(&model, &data, &golden, &plan, 13, &cfg).unwrap();
-        let observed = execute_plan_observed(
+        let plain = execute_untraced(
             &model,
             &data,
             &golden,
             &plan,
-            &space,
+            CampaignSpace::Weight(&space),
             13,
             &cfg,
-            &Ieee754Corruption,
-            &mut |_| {},
         )
         .unwrap();
+        let mut events = 0u64;
+        let observed = execute_plan_traced_any(
+            &model,
+            &data,
+            &golden,
+            &plan,
+            CampaignSpace::Weight(&space),
+            13,
+            &cfg,
+            &sfi_faultsim::campaign::Ieee754Corruption,
+            Probe::disabled(),
+            &mut |_| events += 1,
+        )
+        .unwrap();
+        assert_eq!(events, observed.injections());
         assert_eq!(plain.strata(), observed.strata());
         assert_eq!(plain.layer_tallies(), observed.layer_tallies());
     }
@@ -1119,8 +1232,16 @@ mod tests {
     fn tallies_sum_to_injections() {
         let (model, data, golden, space) = setup();
         let plan = plan_layer_wise(&space, &loose_spec());
-        let outcome =
-            execute_plan(&model, &data, &golden, &plan, 9, &CampaignConfig::default()).unwrap();
+        let outcome = execute_untraced(
+            &model,
+            &data,
+            &golden,
+            &plan,
+            CampaignSpace::Weight(&space),
+            9,
+            &CampaignConfig::default(),
+        )
+        .unwrap();
         let tallied: u64 = outcome.layer_tallies().iter().map(|t| t.sample).sum();
         assert_eq!(tallied, outcome.injections());
     }

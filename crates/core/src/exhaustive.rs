@@ -4,7 +4,7 @@
 use serde::{Deserialize, Serialize};
 
 use sfi_dataset::Dataset;
-use sfi_faultsim::campaign::{run_campaign, CampaignConfig};
+use sfi_faultsim::campaign::{run_campaign, CampaignConfig, Ieee754Corruption};
 use sfi_faultsim::golden::GoldenReference;
 use sfi_faultsim::population::FaultSpace;
 use sfi_nn::Model;
@@ -100,7 +100,7 @@ pub fn exhaustive_layer(
 ) -> Result<(StratumResult, u64), SfiError> {
     let subpop = space.layer_subpopulation(layer)?;
     let faults: Vec<_> = subpop.iter().collect();
-    let result = run_campaign(model, data, golden, &faults, cfg)?;
+    let result = run_campaign(model, data, golden, &faults, cfg, &Ieee754Corruption)?;
     Ok((
         StratumResult {
             population: subpop.size(),

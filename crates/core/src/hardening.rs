@@ -107,14 +107,15 @@ impl ProtectionPlan {
 /// # Example
 ///
 /// ```
-/// use sfi_core::execute::execute_plan;
+/// use sfi_core::execute::{execute_plan_traced_any, CampaignSpace};
 /// use sfi_core::hardening::{plan_protection, HardeningConfig};
 /// use sfi_core::plan::plan_layer_wise;
 /// use sfi_dataset::SynthCifarConfig;
-/// use sfi_faultsim::campaign::CampaignConfig;
+/// use sfi_faultsim::campaign::{CampaignConfig, Ieee754Corruption};
 /// use sfi_faultsim::golden::GoldenReference;
 /// use sfi_faultsim::population::FaultSpace;
 /// use sfi_nn::resnet::ResNetConfig;
+/// use sfi_obs::Probe;
 /// use sfi_stats::confidence::Confidence;
 /// use sfi_stats::sample_size::SampleSpec;
 ///
@@ -126,7 +127,18 @@ impl ProtectionPlan {
 /// let space = FaultSpace::stuck_at(&model);
 /// let spec = SampleSpec { error_margin: 0.2, ..SampleSpec::paper_default() };
 /// let plan = plan_layer_wise(&space, &spec);
-/// let outcome = execute_plan(&model, &data, &golden, &plan, 3, &CampaignConfig::default())?;
+/// let outcome = execute_plan_traced_any(
+///     &model,
+///     &data,
+///     &golden,
+///     &plan,
+///     CampaignSpace::Weight(&space),
+///     3,
+///     &CampaignConfig::default(),
+///     &Ieee754Corruption,
+///     Probe::disabled(),
+///     &mut |_| {},
+/// )?;
 /// // Budget for roughly half the network's check bits.
 /// let budget = HardeningConfig::secded32(model.store().total_weights() as u64 * 7 / 2);
 /// let protection = plan_protection(&outcome, &space, &budget, Confidence::C99)?;
@@ -187,7 +199,7 @@ pub fn plan_protection(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::execute::execute_plan;
+    use crate::execute::{execute_untraced, CampaignSpace};
     use crate::plan::plan_layer_wise;
     use sfi_dataset::SynthCifarConfig;
     use sfi_faultsim::campaign::CampaignConfig;
@@ -204,8 +216,16 @@ mod tests {
         let space = FaultSpace::stuck_at(&model);
         let spec = SampleSpec { error_margin: 0.08, ..SampleSpec::paper_default() };
         let plan = plan_layer_wise(&space, &spec);
-        let outcome =
-            execute_plan(&model, &data, &golden, &plan, 3, &CampaignConfig::default()).unwrap();
+        let outcome = execute_untraced(
+            &model,
+            &data,
+            &golden,
+            &plan,
+            CampaignSpace::Weight(&space),
+            3,
+            &CampaignConfig::default(),
+        )
+        .unwrap();
         (outcome, space, model.store().total_weights() as u64)
     }
 

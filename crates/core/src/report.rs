@@ -444,7 +444,7 @@ mod tests {
 
     #[test]
     fn outcome_csv_has_header_and_rows() {
-        use crate::execute::execute_plan;
+        use crate::execute::{execute_untraced, CampaignSpace};
         use crate::plan::plan_layer_wise;
         use sfi_dataset::SynthCifarConfig;
         use sfi_faultsim::campaign::CampaignConfig;
@@ -462,8 +462,16 @@ mod tests {
         let space = FaultSpace::stuck_at(&model);
         let spec = SampleSpec { error_margin: 0.25, ..SampleSpec::paper_default() };
         let plan = plan_layer_wise(&space, &spec);
-        let outcome =
-            execute_plan(&model, &data, &golden, &plan, 1, &CampaignConfig::default()).unwrap();
+        let outcome = execute_untraced(
+            &model,
+            &data,
+            &golden,
+            &plan,
+            CampaignSpace::Weight(&space),
+            1,
+            &CampaignConfig::default(),
+        )
+        .unwrap();
         let csv = outcome_to_csv(&outcome, space.layers(), Confidence::C99);
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines[0], "layer,population,sample,successes,critical_rate,error_margin");
@@ -472,7 +480,7 @@ mod tests {
 
     #[test]
     fn telemetry_report_has_stratum_and_total_rows() {
-        use crate::execute::execute_plan;
+        use crate::execute::{execute_untraced, CampaignSpace};
         use crate::plan::plan_layer_wise;
         use sfi_dataset::SynthCifarConfig;
         use sfi_faultsim::campaign::CampaignConfig;
@@ -489,8 +497,16 @@ mod tests {
         let space = FaultSpace::stuck_at(&model);
         let spec = SampleSpec { error_margin: 0.25, ..SampleSpec::paper_default() };
         let plan = plan_layer_wise(&space, &spec);
-        let outcome =
-            execute_plan(&model, &data, &golden, &plan, 1, &CampaignConfig::default()).unwrap();
+        let outcome = execute_untraced(
+            &model,
+            &data,
+            &golden,
+            &plan,
+            CampaignSpace::Weight(&space),
+            1,
+            &CampaignConfig::default(),
+        )
+        .unwrap();
         let report = telemetry_report(&outcome);
         let lines: Vec<&str> = report.lines().collect();
         // Header + separator + one row per stratum + totals.

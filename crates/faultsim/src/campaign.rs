@@ -1,10 +1,10 @@
 //! The campaign runner: inject → re-infer → classify → revert, over a list
 //! of faults, optionally across worker threads.
 //!
-//! [`run_campaign`] / [`run_campaign_with`] are thin wrappers over the
-//! work-stealing [`executor`](crate::executor) — one model clone per worker
-//! and dynamic fault distribution. The historical static-shard scheduler is
-//! kept as [`run_campaign_static`] so benches can measure the difference.
+//! [`run_campaign`] is a thin wrapper over the work-stealing
+//! [`executor`](crate::executor) — one model clone per worker and dynamic
+//! fault distribution. The historical static-shard scheduler is kept as
+//! [`run_campaign_static`] so benches can measure the difference.
 
 use std::time::{Duration, Instant};
 
@@ -12,10 +12,12 @@ use serde::{Deserialize, Serialize};
 
 use sfi_dataset::Dataset;
 use sfi_nn::{KernelPolicy, Model, SessionState};
+use sfi_obs::{Probe, WorkerProbe};
 
-use crate::executor::{classify_one, needed_for_critical, with_executor};
+use crate::executor::{classify_one, needed_for_critical, with_executor, FaultOutcome};
 use crate::fault::Fault;
 use crate::golden::GoldenReference;
+use crate::multi::CampaignFault;
 use crate::FaultSimError;
 
 /// How a fault corrupts a stored weight.
@@ -183,7 +185,7 @@ impl Default for CampaignConfig {
 }
 
 /// Aggregate outcome of a campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CampaignResult {
     /// Per-fault classification, aligned with the input fault order.
     pub classes: Vec<FaultClass>,
@@ -240,6 +242,21 @@ pub struct CampaignResult {
 }
 
 impl CampaignResult {
+    /// Folds one fault's inference count and engine / early-exit counters
+    /// into the tallies — the one place per-fault counters are summed.
+    /// Classes are left to the caller, which places them in fault order.
+    pub fn record(&mut self, fault: &FaultOutcome) {
+        self.inferences += fault.inferences;
+        self.converged += u64::from(fault.converged_images > 0);
+        self.nodes_skipped += fault.nodes_skipped;
+        self.delta_sparse_nodes += fault.delta_sparse_nodes;
+        self.delta_fallbacks += fault.delta_fallbacks;
+        self.delta_dirty_blocks += fault.delta_dirty_blocks;
+        self.engine_dense += fault.engine_dense;
+        self.engine_delta += fault.engine_delta;
+        self.engine_batched += fault.engine_batched;
+    }
+
     /// Number of critical faults.
     pub fn critical(&self) -> u64 {
         self.classes.iter().filter(|c| c.is_critical()).count() as u64
@@ -270,9 +287,12 @@ impl CampaignResult {
 ///
 /// For every fault: inject into a worker-local clone of `model`, evaluate
 /// the dataset (incrementally from the faulted layer when
-/// `cfg.incremental`), classify against `golden`, revert. Results are
-/// returned in input order regardless of worker count, and the entire run
-/// is deterministic.
+/// `cfg.incremental`), classify against `golden`, revert. `faults` may be
+/// weight faults, transient activation/input faults, accumulated
+/// multi-fault instances, or a mix ([`CampaignFault`]); `corruption`
+/// produces each weight fault's faulty value ([`Ieee754Corruption`] for
+/// the paper's IEEE-754 bit manipulation). Results are returned in input
+/// order regardless of worker count, and the entire run is deterministic.
 ///
 /// # Errors
 ///
@@ -284,7 +304,7 @@ impl CampaignResult {
 ///
 /// ```
 /// use sfi_dataset::SynthCifarConfig;
-/// use sfi_faultsim::campaign::{run_campaign, CampaignConfig};
+/// use sfi_faultsim::campaign::{run_campaign, CampaignConfig, Ieee754Corruption};
 /// use sfi_faultsim::fault::{Fault, FaultModel, FaultSite};
 /// use sfi_faultsim::golden::GoldenReference;
 /// use sfi_nn::resnet::ResNetConfig;
@@ -297,68 +317,39 @@ impl CampaignResult {
 ///     site: FaultSite { layer: 0, weight: 0, bit: 30 },
 ///     model: FaultModel::StuckAt1,
 /// };
-/// let result = run_campaign(&model, &data, &golden, &[fault], &CampaignConfig::default())?;
+/// let cfg = CampaignConfig::default();
+/// let result = run_campaign(&model, &data, &golden, &[fault], &cfg, &Ieee754Corruption)?;
 /// assert_eq!(result.injections, 1);
 /// # Ok(())
 /// # }
 /// ```
-pub fn run_campaign(
+pub fn run_campaign<F, C>(
     model: &Model,
     data: &Dataset,
     golden: &GoldenReference,
-    faults: &[Fault],
-    cfg: &CampaignConfig,
-) -> Result<CampaignResult, FaultSimError> {
-    run_campaign_with(model, data, golden, faults, cfg, &Ieee754Corruption)
-}
-
-/// Runs a fault-injection campaign with a custom [`Corruption`] model.
-///
-/// Identical to [`run_campaign`] except that each fault's faulty value is
-/// produced by `corruption` instead of direct IEEE-754 bit manipulation.
-///
-/// # Errors
-///
-/// Same conditions as [`run_campaign`].
-pub fn run_campaign_with<C: Corruption>(
-    model: &Model,
-    data: &Dataset,
-    golden: &GoldenReference,
-    faults: &[Fault],
+    faults: &[F],
     cfg: &CampaignConfig,
     corruption: &C,
-) -> Result<CampaignResult, FaultSimError> {
+) -> Result<CampaignResult, FaultSimError>
+where
+    F: Clone + Into<CampaignFault>,
+    C: Corruption,
+{
+    let faults: Vec<CampaignFault> = faults.iter().cloned().map(Into::into).collect();
     // Never spawn more workers than faults; the executor's cursor would
     // leave the excess idle anyway, but their model clones are not free.
     let cfg = CampaignConfig { workers: cfg.workers.max(1).min(faults.len().max(1)), ..*cfg };
-    with_executor(model, data, golden, &cfg, corruption, |exec| exec.run(faults))
-}
-
-/// Runs a fault-model-generic campaign: weight faults, transient
-/// activation/input faults, and accumulated multi-fault instances, freely
-/// mixed in one list. Classifications are in fault order and identical
-/// across worker counts.
-///
-/// # Errors
-///
-/// Same conditions as [`run_campaign`].
-pub fn run_any_campaign(
-    model: &Model,
-    data: &Dataset,
-    golden: &GoldenReference,
-    faults: &[crate::multi::CampaignFault],
-    cfg: &CampaignConfig,
-) -> Result<CampaignResult, FaultSimError> {
-    let cfg = CampaignConfig { workers: cfg.workers.max(1).min(faults.len().max(1)), ..*cfg };
-    with_executor(model, data, golden, &cfg, &Ieee754Corruption, |exec| exec.run_any(faults))
+    with_executor(model, data, golden, &cfg, corruption, Probe::disabled(), |exec| {
+        exec.run(&faults, &mut |_| {}, &mut |_, _, _| {}, None)
+    })
 }
 
 /// Runs a campaign with the historical static-shard scheduler: the fault
 /// list is split into `workers` contiguous chunks up front, one scoped
 /// thread per chunk.
 ///
-/// Classifications are identical to [`run_campaign_with`]; only the
-/// schedule differs. Kept as the ablation baseline for the `campaign`
+/// Classifications are identical to [`run_campaign`]; only the schedule
+/// differs. Kept as the ablation baseline for the `campaign`
 /// bench — per-fault cost is uneven (masked faults are free, early-exited
 /// critical faults nearly so), so static shards straggle where the
 /// work-stealing executor balances.
@@ -381,19 +372,16 @@ pub fn run_campaign_static<C: Corruption>(
     let hits0 = golden.lowering_hits();
     let misses0 = golden.lowering_misses();
     let workers = cfg.workers.max(1).min(faults.len().max(1));
-    let shard_out = if workers <= 1 {
-        let mut worker_model = model.clone();
-        run_shard(&mut worker_model, data, golden, faults, cfg, corruption)?
+    let shards = if workers <= 1 {
+        vec![run_shard(&mut model.clone(), data, golden, faults, cfg, corruption)]
     } else {
         let chunk = faults.len().div_ceil(workers);
-        let shards: Vec<&[Fault]> = faults.chunks(chunk).collect();
-        let results = std::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .iter()
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = faults
+                .chunks(chunk)
                 .map(|shard| {
                     scope.spawn(move || {
-                        let mut worker_model = model.clone();
-                        run_shard(&mut worker_model, data, golden, shard, cfg, corruption)
+                        run_shard(&mut model.clone(), data, golden, shard, cfg, corruption)
                     })
                 })
                 .collect();
@@ -401,61 +389,28 @@ pub fn run_campaign_static<C: Corruption>(
                 .into_iter()
                 .map(|h| h.join().expect("campaign worker must not panic"))
                 .collect::<Vec<_>>()
-        });
-        let mut merged = ShardOutcome::default();
-        for r in results {
-            let shard = r?;
-            merged.classes.extend(shard.classes);
-            merged.inferences += shard.inferences;
-            merged.arena_peak = merged.arena_peak.max(shard.arena_peak);
-            merged.converged += shard.converged;
-            merged.nodes_skipped += shard.nodes_skipped;
-            merged.delta_sparse_nodes += shard.delta_sparse_nodes;
-            merged.delta_fallbacks += shard.delta_fallbacks;
-            merged.delta_dirty_blocks += shard.delta_dirty_blocks;
-            merged.engine_dense += shard.engine_dense;
-            merged.engine_delta += shard.engine_delta;
-            merged.engine_batched += shard.engine_batched;
-        }
-        merged
+        })
     };
+    let mut result = CampaignResult::default();
+    for shard in shards {
+        let (outcomes, arena_peak) = shard?;
+        result.arena_peak_bytes = result.arena_peak_bytes.max(arena_peak);
+        for outcome in &outcomes {
+            result.classes.push(outcome.class);
+            result.record(outcome);
+        }
+    }
     Ok(CampaignResult {
-        injections: shard_out.classes.len() as u64,
-        classes: shard_out.classes,
-        inferences: shard_out.inferences,
+        injections: result.classes.len() as u64,
         elapsed: start.elapsed(),
         lowering_hits: golden.lowering_hits().saturating_sub(hits0),
         lowering_misses: golden.lowering_misses().saturating_sub(misses0),
-        arena_peak_bytes: shard_out.arena_peak,
-        converged: shard_out.converged,
-        nodes_skipped: shard_out.nodes_skipped,
-        delta_sparse_nodes: shard_out.delta_sparse_nodes,
-        delta_fallbacks: shard_out.delta_fallbacks,
-        delta_dirty_blocks: shard_out.delta_dirty_blocks,
-        engine_dense: shard_out.engine_dense,
-        engine_delta: shard_out.engine_delta,
-        engine_batched: shard_out.engine_batched,
+        ..result
     })
 }
 
-/// Tallies of one static shard.
-#[derive(Default)]
-struct ShardOutcome {
-    classes: Vec<FaultClass>,
-    inferences: u64,
-    arena_peak: u64,
-    converged: u64,
-    nodes_skipped: u64,
-    delta_sparse_nodes: u64,
-    delta_fallbacks: u64,
-    delta_dirty_blocks: u64,
-    engine_dense: u64,
-    engine_delta: u64,
-    engine_batched: u64,
-}
-
 /// Processes a contiguous shard of faults on one worker-local model,
-/// returning classifications, inference count, and the shard arena's
+/// returning each fault's outcome in shard order and the shard arena's
 /// high-water mark. The static scheduler runs faults in shard order (no
 /// depth sorting), which cannot affect results — only the schedule.
 fn run_shard<C: Corruption>(
@@ -465,35 +420,26 @@ fn run_shard<C: Corruption>(
     faults: &[Fault],
     cfg: &CampaignConfig,
     corruption: &C,
-) -> Result<ShardOutcome, FaultSimError> {
+) -> Result<(Vec<FaultOutcome>, u64), FaultSimError> {
     let needed = needed_for_critical(cfg, data.len());
-    let mut out = ShardOutcome { classes: Vec::with_capacity(faults.len()), ..Default::default() };
     let mut session = SessionState::new();
-    for fault in faults {
-        let item = classify_one(
-            model,
-            data,
-            golden,
-            fault,
-            needed,
-            cfg,
-            corruption,
-            &mut session,
-            sfi_obs::WorkerProbe::off(),
-        )?;
-        out.classes.push(item.class);
-        out.inferences += item.inferences;
-        out.converged += u64::from(item.converged_images > 0);
-        out.nodes_skipped += item.nodes_skipped;
-        out.delta_sparse_nodes += item.delta_sparse_nodes;
-        out.delta_fallbacks += item.delta_fallbacks;
-        out.delta_dirty_blocks += item.delta_dirty_blocks;
-        out.engine_dense += item.engine_dense;
-        out.engine_delta += item.engine_delta;
-        out.engine_batched += item.engine_batched;
-    }
-    out.arena_peak = session.arena.peak_bytes() as u64;
-    Ok(out)
+    let outcomes = faults
+        .iter()
+        .map(|fault| {
+            classify_one(
+                model,
+                data,
+                golden,
+                fault,
+                needed,
+                cfg,
+                corruption,
+                &mut session,
+                WorkerProbe::off(),
+            )
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok((outcomes, session.arena.peak_bytes() as u64))
 }
 
 #[cfg(test)]
@@ -519,8 +465,15 @@ mod tests {
     fn exponent_msb_faults_are_mostly_critical() {
         let (model, data, golden) = setup();
         let faults: Vec<Fault> = (0..20).map(|w| sa1(0, w, 30)).collect();
-        let res =
-            run_campaign(&model, &data, &golden, &faults, &CampaignConfig::default()).unwrap();
+        let res = run_campaign(
+            &model,
+            &data,
+            &golden,
+            &faults,
+            &CampaignConfig::default(),
+            &Ieee754Corruption,
+        )
+        .unwrap();
         assert_eq!(res.injections, 20);
         assert!(
             res.critical() > 10,
@@ -533,8 +486,15 @@ mod tests {
     fn mantissa_lsb_faults_are_harmless() {
         let (model, data, golden) = setup();
         let faults: Vec<Fault> = (0..20).map(|w| sa1(0, w, 0)).collect();
-        let res =
-            run_campaign(&model, &data, &golden, &faults, &CampaignConfig::default()).unwrap();
+        let res = run_campaign(
+            &model,
+            &data,
+            &golden,
+            &faults,
+            &CampaignConfig::default(),
+            &Ieee754Corruption,
+        )
+        .unwrap();
         assert_eq!(res.critical(), 0, "mantissa LSB flips cannot move the top-1");
     }
 
@@ -550,6 +510,7 @@ mod tests {
             &golden,
             &faults,
             &CampaignConfig { incremental: true, early_exit: false, ..Default::default() },
+            &Ieee754Corruption,
         )
         .unwrap();
         let full = run_campaign(
@@ -558,6 +519,7 @@ mod tests {
             &golden,
             &faults,
             &CampaignConfig { incremental: false, early_exit: false, ..Default::default() },
+            &Ieee754Corruption,
         )
         .unwrap();
         assert_eq!(inc.classes, full.classes);
@@ -573,6 +535,7 @@ mod tests {
             &golden,
             &faults,
             &CampaignConfig { workers: 1, ..Default::default() },
+            &Ieee754Corruption,
         )
         .unwrap();
         let multi = run_campaign(
@@ -581,6 +544,7 @@ mod tests {
             &golden,
             &faults,
             &CampaignConfig { workers: 4, ..Default::default() },
+            &Ieee754Corruption,
         )
         .unwrap();
         assert_eq!(single.classes, multi.classes);
@@ -596,8 +560,15 @@ mod tests {
                 model: FaultModel::StuckAt0,
             })
             .collect();
-        let res =
-            run_campaign(&model, &data, &golden, &faults, &CampaignConfig::default()).unwrap();
+        let res = run_campaign(
+            &model,
+            &data,
+            &golden,
+            &faults,
+            &CampaignConfig::default(),
+            &Ieee754Corruption,
+        )
+        .unwrap();
         assert_eq!(res.masked(), 10);
         assert_eq!(res.inferences, 0);
         assert_eq!(res.critical(), 0);
@@ -613,6 +584,7 @@ mod tests {
             &golden,
             &faults,
             &CampaignConfig { early_exit: true, ..Default::default() },
+            &Ieee754Corruption,
         )
         .unwrap();
         let lazy = run_campaign(
@@ -621,6 +593,7 @@ mod tests {
             &golden,
             &faults,
             &CampaignConfig { early_exit: false, ..Default::default() },
+            &Ieee754Corruption,
         )
         .unwrap();
         assert_eq!(eager.classes, lazy.classes);
@@ -637,6 +610,7 @@ mod tests {
             &golden,
             &faults,
             &CampaignConfig { criterion: Criterion::AnyMismatch, ..Default::default() },
+            &Ieee754Corruption,
         )
         .unwrap();
         let strict = run_campaign(
@@ -648,6 +622,7 @@ mod tests {
                 criterion: Criterion::MismatchRate { threshold: 0.99 },
                 ..Default::default()
             },
+            &Ieee754Corruption,
         )
         .unwrap();
         assert!(strict.critical() <= any.critical());
@@ -658,7 +633,8 @@ mod tests {
         let (model, data, golden) = setup();
         let faults: Vec<Fault> = (0..30).map(|w| sa1(1, w % 36, (w % 31) as u8)).collect();
         let cfg = CampaignConfig { workers: 4, ..Default::default() };
-        let stealing = run_campaign(&model, &data, &golden, &faults, &cfg).unwrap();
+        let stealing =
+            run_campaign(&model, &data, &golden, &faults, &cfg, &Ieee754Corruption).unwrap();
         let static_ =
             run_campaign_static(&model, &data, &golden, &faults, &cfg, &Ieee754Corruption).unwrap();
         assert_eq!(stealing.classes, static_.classes);
@@ -670,14 +646,30 @@ mod tests {
         let (model, data, golden) = setup();
         let before = model.store().clone();
         let faults: Vec<Fault> = (0..8).map(|w| sa1(2, w, 28)).collect();
-        let _ = run_campaign(&model, &data, &golden, &faults, &CampaignConfig::default()).unwrap();
+        let _ = run_campaign(
+            &model,
+            &data,
+            &golden,
+            &faults,
+            &CampaignConfig::default(),
+            &Ieee754Corruption,
+        )
+        .unwrap();
         assert_eq!(*model.store(), before, "campaign must not mutate the input model");
     }
 
     #[test]
     fn empty_faults_yield_empty_result() {
         let (model, data, golden) = setup();
-        let res = run_campaign(&model, &data, &golden, &[], &CampaignConfig::default()).unwrap();
+        let res = run_campaign(
+            &model,
+            &data,
+            &golden,
+            &[] as &[Fault],
+            &CampaignConfig::default(),
+            &Ieee754Corruption,
+        )
+        .unwrap();
         assert_eq!(res.injections, 0);
         assert_eq!(res.critical_rate(), 0.0);
     }
@@ -687,7 +679,14 @@ mod tests {
         let (model, data, golden) = setup();
         let empty = data.truncated(0);
         assert!(matches!(
-            run_campaign(&model, &empty, &golden, &[], &CampaignConfig::default()),
+            run_campaign(
+                &model,
+                &empty,
+                &golden,
+                &[] as &[Fault],
+                &CampaignConfig::default(),
+                &Ieee754Corruption
+            ),
             Err(FaultSimError::EmptyEvalSet)
         ));
     }

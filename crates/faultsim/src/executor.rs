@@ -33,7 +33,7 @@
 //!   panicking is recorded as [`FaultClass::ExecutionFailure`] instead of
 //!   aborting the run. The pool degrades gracefully; in inline mode the
 //!   single model clone is rebuilt from the pristine model after a panic.
-//! - **Cooperative cancellation** — [`CampaignExecutor::run_with`] accepts
+//! - **Cooperative cancellation** — [`CampaignExecutor::run`] accepts
 //!   a [`CancelToken`] checked at fault boundaries. On cancellation the
 //!   collector stops issuing work, drains every in-flight classification
 //!   (reporting each through the `on_classified` hook, so journals stay
@@ -50,20 +50,26 @@
 //! use sfi_faultsim::executor::with_executor;
 //! use sfi_faultsim::fault::{Fault, FaultModel, FaultSite};
 //! use sfi_faultsim::golden::GoldenReference;
+//! use sfi_faultsim::multi::CampaignFault;
 //! use sfi_nn::resnet::ResNetConfig;
+//! use sfi_obs::Probe;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let model = ResNetConfig::resnet20_micro().build_seeded(1)?;
 //! let data = SynthCifarConfig::new().with_size(16).with_samples(2).generate();
 //! let golden = GoldenReference::build(&model, &data)?;
 //! let cfg = CampaignConfig { workers: 2, ..CampaignConfig::default() };
-//! let fault = |w| Fault {
-//!     site: FaultSite { layer: 0, weight: w, bit: 30 },
-//!     model: FaultModel::StuckAt1,
+//! let fault = |w| {
+//!     CampaignFault::Weight(Fault {
+//!         site: FaultSite { layer: 0, weight: w, bit: 30 },
+//!         model: FaultModel::StuckAt1,
+//!     })
 //! };
+//! let probe = Probe::disabled();
 //! // One pool serves any number of campaigns (here: two strata).
-//! let (a, b) = with_executor(&model, &data, &golden, &cfg, &Ieee754Corruption, |exec| {
-//!     Ok((exec.run(&[fault(0), fault(1)])?, exec.run(&[fault(2)])?))
+//! let (a, b) = with_executor(&model, &data, &golden, &cfg, &Ieee754Corruption, probe, |exec| {
+//!     let a = exec.run(&[fault(0), fault(1)], &mut |_| {}, &mut |_, _, _| {}, None)?;
+//!     Ok((a, exec.run(&[fault(2)], &mut |_| {}, &mut |_, _, _| {}, None)?))
 //! })?;
 //! assert_eq!(a.injections, 2);
 //! assert_eq!(b.injections, 1);
@@ -123,7 +129,7 @@ impl CancelToken {
     }
 }
 
-/// Progress snapshot delivered to [`CampaignExecutor::run_observed`]
+/// Progress snapshot delivered to [`CampaignExecutor::run`] progress
 /// callbacks after every completed fault.
 ///
 /// `completed` is strictly monotone over the callbacks of one campaign and
@@ -343,8 +349,7 @@ pub struct CampaignExecutor<'a, C: Corruption> {
     mode: Mode,
     /// Session-wide tallies fed by every worker (or the inline loop).
     stats: Arc<SessionStats>,
-    /// Observability probe; [`Probe::disabled`] unless the session was
-    /// opened through [`with_executor_probed`].
+    /// Observability probe ([`Probe::disabled`] for an untraced session).
     probe: &'a Probe,
 }
 
@@ -372,36 +377,16 @@ struct SessionStats {
 /// model clones) persists across every [`CampaignExecutor::run`] call made
 /// inside `f` — the cheap way to execute many strata against one model.
 ///
-/// `cfg.workers <= 1` runs inline without spawning anything.
+/// `cfg.workers <= 1` runs inline without spawning anything. Workers time
+/// their inferences and arena activity into `probe`'s shards, and the
+/// collector counts requeues and retirements; with [`Probe::disabled`]
+/// every instrumentation point reduces to a branch.
 ///
 /// # Errors
 ///
 /// Returns [`FaultSimError::EmptyEvalSet`] for an empty dataset or golden
 /// reference; otherwise whatever `f` returns.
 pub fn with_executor<C, R, F>(
-    model: &Model,
-    data: &Dataset,
-    golden: &GoldenReference,
-    cfg: &CampaignConfig,
-    corruption: &C,
-    f: F,
-) -> Result<R, FaultSimError>
-where
-    C: Corruption,
-    F: FnOnce(&mut CampaignExecutor<'_, C>) -> Result<R, FaultSimError>,
-{
-    with_executor_probed(model, data, golden, cfg, corruption, Probe::disabled(), f)
-}
-
-/// [`with_executor`] with an observability probe: workers time their
-/// inferences and arena activity into the probe's shards, and the
-/// collector counts requeues and retirements. With [`Probe::disabled`]
-/// every instrumentation point reduces to a branch.
-///
-/// # Errors
-///
-/// Same conditions as [`with_executor`].
-pub fn with_executor_probed<C, R, F>(
     model: &Model,
     data: &Dataset,
     golden: &GoldenReference,
@@ -475,41 +460,21 @@ where
 }
 
 impl<C: Corruption> CampaignExecutor<'_, C> {
-    /// Runs one campaign over `faults`.
+    /// Runs one campaign over a fault-model-generic fault list (weight,
+    /// activation/input, or accumulated multi-fault instances, freely
+    /// mixed).
     ///
     /// Results are in fault order and identical across worker counts.
     ///
-    /// # Errors
-    ///
-    /// Returns the first injection or inference error (by fault order).
-    pub fn run(&mut self, faults: &[Fault]) -> Result<CampaignResult, FaultSimError> {
-        self.run_observed(faults, &mut |_| {})
-    }
-
-    /// [`run`](Self::run) with a progress callback, invoked after every
-    /// classified fault with monotonically increasing `completed` counts.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`run`](Self::run).
-    pub fn run_observed(
-        &mut self,
-        faults: &[Fault],
-        progress: &mut dyn FnMut(CampaignProgress),
-    ) -> Result<CampaignResult, FaultSimError> {
-        self.run_with(faults, progress, &mut |_, _, _| {}, None)
-    }
-
-    /// The fully instrumented run: progress callbacks, a per-fault
-    /// completion sink, and cooperative cancellation.
-    ///
-    /// `on_classified(index, class, inferences)` fires in **completion
-    /// order** (not fault order) exactly once per classified fault — the
-    /// hook checkpoint journals use to persist results as they happen.
-    /// `cancel` is checked at every fault boundary; on cancellation the
-    /// executor stops issuing work, drains in-flight classifications
-    /// (still reporting them through `on_classified`), and returns
-    /// [`FaultSimError::Cancelled`].
+    /// - `progress` is invoked after every classified fault with
+    ///   monotonically increasing `completed` counts.
+    /// - `on_classified(index, class, inferences)` fires in **completion
+    ///   order** (not fault order) exactly once per classified fault — the
+    ///   hook checkpoint journals use to persist results as they happen.
+    /// - `cancel` is checked at every fault boundary; on cancellation the
+    ///   executor stops issuing work, drains in-flight classifications
+    ///   (still reporting them through `on_classified`), and returns
+    ///   [`FaultSimError::Cancelled`].
     ///
     /// # Errors
     ///
@@ -518,37 +483,7 @@ impl<C: Corruption> CampaignExecutor<'_, C> {
     /// - [`FaultSimError::WorkerLost`] / [`FaultSimError::WorkerPoolExhausted`]
     ///   when pool workers die without unwinding (panics are isolated and
     ///   do **not** produce these).
-    pub fn run_with(
-        &mut self,
-        faults: &[Fault],
-        progress: &mut dyn FnMut(CampaignProgress),
-        on_classified: &mut dyn FnMut(usize, FaultClass, u64),
-        cancel: Option<&CancelToken>,
-    ) -> Result<CampaignResult, FaultSimError> {
-        let faults: Vec<CampaignFault> = faults.iter().map(|&f| CampaignFault::Weight(f)).collect();
-        self.run_any_with(&faults, progress, on_classified, cancel)
-    }
-
-    /// Runs one campaign over a fault-model-generic fault list (weight,
-    /// activation/input, or accumulated multi-fault instances, freely
-    /// mixed).
-    ///
-    /// Results are in fault order and identical across worker counts.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`run`](Self::run).
-    pub fn run_any(&mut self, faults: &[CampaignFault]) -> Result<CampaignResult, FaultSimError> {
-        self.run_any_with(faults, &mut |_| {}, &mut |_, _, _| {}, None)
-    }
-
-    /// [`run_with`](Self::run_with) over a fault-model-generic fault list —
-    /// the primitive every other `run*` entry point reduces to.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`run_with`](Self::run_with).
-    pub fn run_any_with(
+    pub fn run(
         &mut self,
         faults: &[CampaignFault],
         progress: &mut dyn FnMut(CampaignProgress),
@@ -561,15 +496,7 @@ impl<C: Corruption> CampaignExecutor<'_, C> {
         let start = Instant::now();
         let needed = needed_for_critical(&self.cfg, self.data.len());
         let total = faults.len() as u64;
-        let mut inferences = 0u64;
-        let mut converged = 0u64;
-        let mut nodes_skipped = 0u64;
-        let mut delta_sparse_nodes = 0u64;
-        let mut delta_fallbacks = 0u64;
-        let mut delta_dirty_blocks = 0u64;
-        let mut engine_dense = 0u64;
-        let mut engine_delta = 0u64;
-        let mut engine_batched = 0u64;
+        let mut tally = CampaignResult::default();
         let data = self.data;
         let golden = self.golden;
         let cfg = self.cfg;
@@ -614,18 +541,14 @@ impl<C: Corruption> CampaignExecutor<'_, C> {
                             }
                         }
                     };
-                    inferences += item.inferences;
-                    converged += u64::from(item.converged_images > 0);
-                    nodes_skipped += item.nodes_skipped;
-                    delta_sparse_nodes += item.delta_sparse_nodes;
-                    delta_fallbacks += item.delta_fallbacks;
-                    delta_dirty_blocks += item.delta_dirty_blocks;
-                    engine_dense += item.engine_dense;
-                    engine_delta += item.engine_delta;
-                    engine_batched += item.engine_batched;
+                    tally.record(&item);
                     slots[fi] = Some(item.class);
                     on_classified(fi, item.class, item.inferences);
-                    progress(CampaignProgress { completed: done as u64 + 1, total, inferences });
+                    progress(CampaignProgress {
+                        completed: done as u64 + 1,
+                        total,
+                        inferences: tally.inferences,
+                    });
                 }
                 let arena_after = session.arena.stats();
                 wprobe.record_arena(
@@ -688,15 +611,7 @@ impl<C: Corruption> CampaignExecutor<'_, C> {
                             }
                             match item {
                                 Ok(item) => {
-                                    inferences += item.inferences;
-                                    converged += u64::from(item.converged_images > 0);
-                                    nodes_skipped += item.nodes_skipped;
-                                    delta_sparse_nodes += item.delta_sparse_nodes;
-                                    delta_fallbacks += item.delta_fallbacks;
-                                    delta_dirty_blocks += item.delta_dirty_blocks;
-                                    engine_dense += item.engine_dense;
-                                    engine_delta += item.engine_delta;
-                                    engine_batched += item.engine_batched;
+                                    tally.record(&item);
                                     slots[fi] = Some(item.class);
                                     filled += 1;
                                     classified += 1;
@@ -715,7 +630,7 @@ impl<C: Corruption> CampaignExecutor<'_, C> {
                             progress(CampaignProgress {
                                 completed: filled as u64,
                                 total,
-                                inferences,
+                                inferences: tally.inferences,
                             });
                         }
                         WorkerReport::Panicked { fault, worker } => {
@@ -739,7 +654,7 @@ impl<C: Corruption> CampaignExecutor<'_, C> {
                                 progress(CampaignProgress {
                                     completed: filled as u64,
                                     total,
-                                    inferences,
+                                    inferences: tally.inferences,
                                 });
                             }
                         }
@@ -772,19 +687,11 @@ impl<C: Corruption> CampaignExecutor<'_, C> {
         Ok(CampaignResult {
             injections: faults.len() as u64,
             classes,
-            inferences,
             elapsed: start.elapsed(),
             lowering_hits: golden.lowering_hits().saturating_sub(lowering_hits0),
             lowering_misses: golden.lowering_misses().saturating_sub(lowering_misses0),
             arena_peak_bytes: self.stats.arena_peak.load(Ordering::Relaxed),
-            converged,
-            nodes_skipped,
-            delta_sparse_nodes,
-            delta_fallbacks,
-            delta_dirty_blocks,
-            engine_dense,
-            engine_delta,
-            engine_batched,
+            ..tally
         })
     }
 
@@ -874,9 +781,10 @@ pub(crate) fn needed_for_critical(cfg: &CampaignConfig, total_images: usize) -> 
     }
 }
 
-/// Per-fault classification outcome with early-exit accounting.
+/// Per-fault classification outcome with early-exit accounting, folded
+/// into a campaign's tallies by [`CampaignResult::record`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct FaultOutcome {
+pub struct FaultOutcome {
     /// The fault's classification.
     pub class: FaultClass,
     /// Single-image inferences spent (a converged image still counts as
@@ -901,7 +809,9 @@ pub(crate) struct FaultOutcome {
 }
 
 impl FaultOutcome {
-    fn masked() -> Self {
+    /// A masked fault: no inference, no engine, no counters — the base
+    /// other outcomes are built from with struct-update syntax.
+    pub fn masked() -> Self {
         Self {
             class: FaultClass::Masked,
             inferences: 0,
@@ -1619,6 +1529,15 @@ mod tests {
     use sfi_dataset::SynthCifarConfig;
     use sfi_nn::resnet::ResNetConfig;
 
+    /// Runs `faults` through `exec` with no hooks and no cancellation.
+    fn run<F: Clone + Into<CampaignFault>, C: Corruption>(
+        exec: &mut CampaignExecutor<'_, C>,
+        faults: &[F],
+    ) -> Result<CampaignResult, FaultSimError> {
+        let faults: Vec<CampaignFault> = faults.iter().cloned().map(Into::into).collect();
+        exec.run(&faults, &mut |_| {}, &mut |_, _, _| {}, None)
+    }
+
     fn setup() -> (Model, Dataset, GoldenReference) {
         let model = ResNetConfig::resnet20_micro().build_seeded(4).unwrap();
         let data = SynthCifarConfig::new().with_size(16).with_samples(4).generate();
@@ -1660,9 +1579,15 @@ mod tests {
         let mut results = Vec::new();
         for workers in [1usize, 2, 4, 8] {
             let cfg = CampaignConfig { workers, ..CampaignConfig::default() };
-            let res = with_executor(&model, &data, &golden, &cfg, &Ieee754Corruption, |exec| {
-                exec.run(&faults)
-            })
+            let res = with_executor(
+                &model,
+                &data,
+                &golden,
+                &cfg,
+                &Ieee754Corruption,
+                Probe::disabled(),
+                |exec| run(exec, &faults),
+            )
             .unwrap();
             results.push(res);
         }
@@ -1677,15 +1602,22 @@ mod tests {
         let (model, data, golden) = setup();
         let cfg = CampaignConfig { workers: 3, ..CampaignConfig::default() };
         let all = mixed_faults(&model, 30);
-        let (joint, split) =
-            with_executor(&model, &data, &golden, &cfg, &Ieee754Corruption, |exec| {
+        let (joint, split) = with_executor(
+            &model,
+            &data,
+            &golden,
+            &cfg,
+            &Ieee754Corruption,
+            Probe::disabled(),
+            |exec| {
                 assert_eq!(exec.workers(), 3);
-                let joint = exec.run(&all)?;
-                let first = exec.run(&all[..15])?;
-                let second = exec.run(&all[15..])?;
+                let joint = run(exec, &all)?;
+                let first = run(exec, &all[..15])?;
+                let second = run(exec, &all[15..])?;
                 Ok((joint, (first, second)))
-            })
-            .unwrap();
+            },
+        )
+        .unwrap();
         let mut stitched = split.0.classes.clone();
         stitched.extend(split.1.classes.clone());
         assert_eq!(joint.classes, stitched, "pool state must not leak across campaigns");
@@ -1696,10 +1628,17 @@ mod tests {
         let (model, data, golden) = setup();
         let faults = mixed_faults(&model, 24);
         let cfg = CampaignConfig { workers: 4, ..CampaignConfig::default() };
-        let via_campaign = run_campaign(&model, &data, &golden, &faults, &cfg).unwrap();
-        let direct = with_executor(&model, &data, &golden, &cfg, &Ieee754Corruption, |exec| {
-            exec.run(&faults)
-        })
+        let via_campaign =
+            run_campaign(&model, &data, &golden, &faults, &cfg, &Ieee754Corruption).unwrap();
+        let direct = with_executor(
+            &model,
+            &data,
+            &golden,
+            &cfg,
+            &Ieee754Corruption,
+            Probe::disabled(),
+            |exec| run(exec, &faults),
+        )
         .unwrap();
         assert_eq!(via_campaign.classes, direct.classes);
     }
@@ -1711,9 +1650,18 @@ mod tests {
         for workers in [1usize, 4] {
             let cfg = CampaignConfig { workers, ..CampaignConfig::default() };
             let mut seen = Vec::new();
-            with_executor(&model, &data, &golden, &cfg, &Ieee754Corruption, |exec| {
-                exec.run_observed(&faults, &mut |p| seen.push(p))
-            })
+            with_executor(
+                &model,
+                &data,
+                &golden,
+                &cfg,
+                &Ieee754Corruption,
+                Probe::disabled(),
+                |exec| {
+                    let faults: Vec<CampaignFault> = faults.iter().map(|&f| f.into()).collect();
+                    exec.run(&faults, &mut |p| seen.push(p), &mut |_, _, _| {}, None)
+                },
+            )
             .unwrap();
             assert_eq!(seen.len(), faults.len(), "one event per fault ({workers} workers)");
             for pair in seen.windows(2) {
@@ -1742,7 +1690,7 @@ mod tests {
             model: FaultModel::StuckAt0,
         }));
         let cfg = CampaignConfig::default();
-        let res = run_campaign(&model, &data, &golden, &faults, &cfg).unwrap();
+        let res = run_campaign(&model, &data, &golden, &faults, &cfg, &Ieee754Corruption).unwrap();
         let t = CampaignTelemetry::from_result(&res);
         assert_eq!(t.injections, 15);
         assert_eq!(t.masked, 5);
@@ -1762,8 +1710,15 @@ mod tests {
                 model: FaultModel::StuckAt0,
             })
             .collect();
-        let res =
-            run_campaign(&model, &data, &golden, &faults, &CampaignConfig::default()).unwrap();
+        let res = run_campaign(
+            &model,
+            &data,
+            &golden,
+            &faults,
+            &CampaignConfig::default(),
+            &Ieee754Corruption,
+        )
+        .unwrap();
         let t = CampaignTelemetry::from_result(&res);
         assert_eq!(t.inferences, 0);
         assert_eq!(t.masked, 5);
@@ -1780,9 +1735,15 @@ mod tests {
             Fault { site: FaultSite { layer: 98, weight: 0, bit: 0 }, model: FaultModel::StuckAt1 };
         for workers in [1usize, 4] {
             let cfg = CampaignConfig { workers, ..CampaignConfig::default() };
-            let err = with_executor(&model, &data, &golden, &cfg, &Ieee754Corruption, |exec| {
-                exec.run(&faults)
-            })
+            let err = with_executor(
+                &model,
+                &data,
+                &golden,
+                &cfg,
+                &Ieee754Corruption,
+                Probe::disabled(),
+                |exec| run(exec, &faults),
+            )
             .unwrap_err();
             match err {
                 FaultSimError::InvalidFault { reason } => {
@@ -1797,9 +1758,16 @@ mod tests {
     fn empty_fault_list_is_fine() {
         let (model, data, golden) = setup();
         let cfg = CampaignConfig { workers: 4, ..CampaignConfig::default() };
-        let res =
-            with_executor(&model, &data, &golden, &cfg, &Ieee754Corruption, |exec| exec.run(&[]))
-                .unwrap();
+        let res = with_executor(
+            &model,
+            &data,
+            &golden,
+            &cfg,
+            &Ieee754Corruption,
+            Probe::disabled(),
+            |exec| run(exec, &[] as &[Fault]),
+        )
+        .unwrap();
         assert_eq!(res.injections, 0);
         assert!(res.classes.is_empty());
     }
@@ -1814,7 +1782,8 @@ mod tests {
             &golden,
             &CampaignConfig::default(),
             &Ieee754Corruption,
-            |exec| exec.run(&[]),
+            Probe::disabled(),
+            |exec| run(exec, &[] as &[Fault]),
         );
         assert!(matches!(out, Err(FaultSimError::EmptyEvalSet)));
     }
@@ -1825,14 +1794,22 @@ mod tests {
         let faults = mixed_faults(&model, 24);
         let poison = faults[9].site;
         let corruption = PanickingCorruption { poison };
-        let clean =
-            run_campaign(&model, &data, &golden, &faults, &CampaignConfig::default()).unwrap();
-        let cfg = CampaignConfig { workers: 4, max_fault_retries: 1, ..CampaignConfig::default() };
-        let (res, survivors) = with_executor(&model, &data, &golden, &cfg, &corruption, |exec| {
-            let res = exec.run(&faults)?;
-            Ok((res, exec.workers()))
-        })
+        let clean = run_campaign(
+            &model,
+            &data,
+            &golden,
+            &faults,
+            &CampaignConfig::default(),
+            &Ieee754Corruption,
+        )
         .unwrap();
+        let cfg = CampaignConfig { workers: 4, max_fault_retries: 1, ..CampaignConfig::default() };
+        let (res, survivors) =
+            with_executor(&model, &data, &golden, &cfg, &corruption, Probe::disabled(), |exec| {
+                let res = run(exec, &faults)?;
+                Ok((res, exec.workers()))
+            })
+            .unwrap();
         assert_eq!(res.classes[9], FaultClass::ExecutionFailure);
         for (i, (got, want)) in res.classes.iter().zip(&clean.classes).enumerate() {
             if i != 9 {
@@ -1851,12 +1828,21 @@ mod tests {
         let faults = mixed_faults(&model, 12);
         let poison = faults[4].site;
         let corruption = PanickingCorruption { poison };
-        let clean =
-            run_campaign(&model, &data, &golden, &faults, &CampaignConfig::default()).unwrap();
+        let clean = run_campaign(
+            &model,
+            &data,
+            &golden,
+            &faults,
+            &CampaignConfig::default(),
+            &Ieee754Corruption,
+        )
+        .unwrap();
         let cfg = CampaignConfig { workers: 1, ..CampaignConfig::default() };
         let res =
-            with_executor(&model, &data, &golden, &cfg, &corruption, |exec| exec.run(&faults))
-                .unwrap();
+            with_executor(&model, &data, &golden, &cfg, &corruption, Probe::disabled(), |exec| {
+                run(exec, &faults)
+            })
+            .unwrap();
         assert_eq!(res.classes[4], FaultClass::ExecutionFailure);
         for (i, (got, want)) in res.classes.iter().zip(&clean.classes).enumerate() {
             if i != 4 {
@@ -1874,13 +1860,20 @@ mod tests {
         let poison = faults[0].site;
         let corruption = PanickingCorruption { poison };
         let cfg = CampaignConfig { workers: 3, max_fault_retries: 1, ..CampaignConfig::default() };
-        let clean_tail =
-            run_campaign(&model, &data, &golden, &faults[1..], &CampaignConfig::default()).unwrap();
-        with_executor(&model, &data, &golden, &cfg, &corruption, |exec| {
-            let first = exec.run(&faults)?;
+        let clean_tail = run_campaign(
+            &model,
+            &data,
+            &golden,
+            &faults[1..],
+            &CampaignConfig::default(),
+            &Ieee754Corruption,
+        )
+        .unwrap();
+        with_executor(&model, &data, &golden, &cfg, &corruption, Probe::disabled(), |exec| {
+            let first = run(exec, &faults)?;
             assert_eq!(first.classes[0], FaultClass::ExecutionFailure);
             assert_eq!(exec.workers(), 1, "two workers retired by the poisoned fault");
-            let second = exec.run(&faults[1..])?;
+            let second = run(exec, &faults[1..])?;
             assert_eq!(second.classes, clean_tail.classes);
             Ok(())
         })
@@ -1891,26 +1884,42 @@ mod tests {
     fn cancellation_stops_at_fault_boundary_and_reports_partials() {
         let (model, data, golden) = setup();
         let faults = mixed_faults(&model, 30);
-        let full =
-            run_campaign(&model, &data, &golden, &faults, &CampaignConfig::default()).unwrap();
+        let full = run_campaign(
+            &model,
+            &data,
+            &golden,
+            &faults,
+            &CampaignConfig::default(),
+            &Ieee754Corruption,
+        )
+        .unwrap();
         for workers in [1usize, 4] {
             let cfg = CampaignConfig { workers, ..CampaignConfig::default() };
             let token = CancelToken::new();
             let mut seen: Vec<(usize, FaultClass, u64)> = Vec::new();
             let stop_after = 5u64;
-            let out = with_executor(&model, &data, &golden, &cfg, &Ieee754Corruption, |exec| {
-                let t = token.clone();
-                exec.run_with(
-                    &faults,
-                    &mut move |p| {
-                        if p.completed >= stop_after {
-                            t.cancel();
-                        }
-                    },
-                    &mut |idx, class, cost| seen.push((idx, class, cost)),
-                    Some(&token),
-                )
-            });
+            let faults: Vec<CampaignFault> = faults.iter().map(|&f| f.into()).collect();
+            let out = with_executor(
+                &model,
+                &data,
+                &golden,
+                &cfg,
+                &Ieee754Corruption,
+                Probe::disabled(),
+                |exec| {
+                    let t = token.clone();
+                    exec.run(
+                        &faults,
+                        &mut move |p| {
+                            if p.completed >= stop_after {
+                                t.cancel();
+                            }
+                        },
+                        &mut |idx, class, cost| seen.push((idx, class, cost)),
+                        Some(&token),
+                    )
+                },
+            );
             match out {
                 Err(FaultSimError::Cancelled { completed }) => {
                     assert!(completed >= stop_after, "{workers} workers: {completed}");
@@ -2019,9 +2028,15 @@ mod tests {
             (4, false, false),
         ] {
             let cfg = CampaignConfig { workers, delta, convergence, ..CampaignConfig::default() };
-            let res = with_executor(&model, &data, &golden, &cfg, &Ieee754Corruption, |exec| {
-                exec.run_any(&faults)
-            })
+            let res = with_executor(
+                &model,
+                &data,
+                &golden,
+                &cfg,
+                &Ieee754Corruption,
+                Probe::disabled(),
+                |exec| run(exec, &faults),
+            )
             .unwrap();
             assert_eq!(res.injections, faults.len() as u64);
             if let Some(r) = &reference {
@@ -2063,9 +2078,15 @@ mod tests {
         for workers in [1usize, 4] {
             let cfg = CampaignConfig { workers, ..CampaignConfig::default() };
             results.push(
-                with_executor(&model, &data, &golden, &cfg, &Ieee754Corruption, |exec| {
-                    exec.run_any(&faults)
-                })
+                with_executor(
+                    &model,
+                    &data,
+                    &golden,
+                    &cfg,
+                    &Ieee754Corruption,
+                    Probe::disabled(),
+                    |exec| run(exec, &faults),
+                )
                 .unwrap(),
             );
         }
@@ -2112,9 +2133,15 @@ mod tests {
             }),
         ];
         let cfg = CampaignConfig::default();
-        let res = with_executor(&model, &data, &golden, &cfg, &Ieee754Corruption, |exec| {
-            exec.run_any(&faults)
-        })
+        let res = with_executor(
+            &model,
+            &data,
+            &golden,
+            &cfg,
+            &Ieee754Corruption,
+            Probe::disabled(),
+            |exec| run(exec, &faults),
+        )
         .unwrap();
         assert_eq!(res.classes[0], FaultClass::Masked, "all components masked");
         assert_ne!(res.classes[1], FaultClass::Masked, "effective transient component");
@@ -2138,6 +2165,7 @@ mod tests {
             &golden,
             &weights,
             &CampaignConfig { early_exit: false, ..CampaignConfig::default() },
+            &Ieee754Corruption,
         )
         .unwrap();
         let acc: Vec<CampaignFault> = weights
@@ -2150,9 +2178,15 @@ mod tests {
             })
             .collect();
         let cfg = CampaignConfig { early_exit: false, ..CampaignConfig::default() };
-        let res = with_executor(&model, &data, &golden, &cfg, &Ieee754Corruption, |exec| {
-            exec.run_any(&acc)
-        })
+        let res = with_executor(
+            &model,
+            &data,
+            &golden,
+            &cfg,
+            &Ieee754Corruption,
+            Probe::disabled(),
+            |exec| run(exec, &acc),
+        )
         .unwrap();
         assert_eq!(res.classes, singles.classes, "k=1 accumulation ≡ plain weight fault");
         assert_eq!(res.inferences, singles.inferences);
@@ -2184,9 +2218,15 @@ mod tests {
         for workers in [1usize, 2, 4, 8] {
             let cfg = CampaignConfig { workers, ..CampaignConfig::default() };
             results.push(
-                with_executor(&model, &data, &golden, &cfg, &Ieee754Corruption, |exec| {
-                    exec.run_any(&faults)
-                })
+                with_executor(
+                    &model,
+                    &data,
+                    &golden,
+                    &cfg,
+                    &Ieee754Corruption,
+                    Probe::disabled(),
+                    |exec| run(exec, &faults),
+                )
                 .unwrap(),
             );
         }
@@ -2217,9 +2257,15 @@ mod tests {
             }),
         ];
         let cfg = CampaignConfig::default();
-        let _ = with_executor(&model, &data, &golden, &cfg, &Ieee754Corruption, |exec| {
-            exec.run_any(&faults)
-        })
+        let _ = with_executor(
+            &model,
+            &data,
+            &golden,
+            &cfg,
+            &Ieee754Corruption,
+            Probe::disabled(),
+            |exec| run(exec, &faults),
+        )
         .unwrap();
         assert_eq!(*model.store(), store_before, "every fault model must revert cleanly");
     }
@@ -2241,9 +2287,15 @@ mod tests {
             }),
         ] {
             let cfg = CampaignConfig::default();
-            let err = with_executor(&model, &data, &golden, &cfg, &Ieee754Corruption, |exec| {
-                exec.run_any(std::slice::from_ref(&fault))
-            })
+            let err = with_executor(
+                &model,
+                &data,
+                &golden,
+                &cfg,
+                &Ieee754Corruption,
+                Probe::disabled(),
+                |exec| run(exec, std::slice::from_ref(&fault)),
+            )
             .unwrap_err();
             assert!(matches!(err, FaultSimError::InvalidFault { .. }), "{fault}: {err:?}");
         }
@@ -2257,9 +2309,18 @@ mod tests {
         token.cancel();
         for workers in [1usize, 3] {
             let cfg = CampaignConfig { workers, ..CampaignConfig::default() };
-            let err = with_executor(&model, &data, &golden, &cfg, &Ieee754Corruption, |exec| {
-                exec.run_with(&faults, &mut |_| {}, &mut |_, _, _| {}, Some(&token))
-            })
+            let err = with_executor(
+                &model,
+                &data,
+                &golden,
+                &cfg,
+                &Ieee754Corruption,
+                Probe::disabled(),
+                |exec| {
+                    let faults: Vec<CampaignFault> = faults.iter().map(|&f| f.into()).collect();
+                    exec.run(&faults, &mut |_| {}, &mut |_, _, _| {}, Some(&token))
+                },
+            )
             .unwrap_err();
             assert!(matches!(err, FaultSimError::Cancelled { .. }), "{workers} workers: {err:?}");
         }

@@ -29,7 +29,7 @@
 //!
 //! ```
 //! use sfi_dataset::SynthCifarConfig;
-//! use sfi_faultsim::campaign::{run_campaign, CampaignConfig};
+//! use sfi_faultsim::campaign::{run_campaign, CampaignConfig, Ieee754Corruption};
 //! use sfi_faultsim::golden::GoldenReference;
 //! use sfi_faultsim::population::FaultSpace;
 //! use sfi_nn::resnet::ResNetConfig;
@@ -43,7 +43,8 @@
 //! let space = FaultSpace::stuck_at(&model);
 //! let subpop = space.bit_subpopulation(0, 30)?;
 //! let faults: Vec<_> = subpop.iter().collect();
-//! let result = run_campaign(&model, &data, &golden, &faults, &CampaignConfig::default())?;
+//! let cfg = CampaignConfig::default();
+//! let result = run_campaign(&model, &data, &golden, &faults, &cfg, &Ieee754Corruption)?;
 //! assert_eq!(result.injections, subpop.size());
 //! # Ok(())
 //! # }

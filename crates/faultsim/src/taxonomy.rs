@@ -27,7 +27,7 @@ use sfi_dataset::Dataset;
 use sfi_nn::{ForwardOptions, Model};
 use sfi_tensor::ScratchArena;
 
-use crate::campaign::{Corruption, Ieee754Corruption};
+use crate::campaign::Corruption;
 use crate::fault::Fault;
 use crate::golden::GoldenReference;
 use crate::injector::{inject_with, revert};
@@ -99,7 +99,10 @@ impl DetailedResult {
 
 /// Runs a detailed campaign: every image of every effective fault is
 /// evaluated (no early exit — SDC and DUE must be told apart on the whole
-/// evaluation set) and classified per the module taxonomy.
+/// evaluation set) and classified per the module taxonomy. `corruption`
+/// produces each fault's faulty weight value
+/// ([`Ieee754Corruption`](crate::campaign::Ieee754Corruption) for the
+/// paper's IEEE-754 bit manipulation).
 ///
 /// # Errors
 ///
@@ -110,6 +113,7 @@ impl DetailedResult {
 ///
 /// ```
 /// use sfi_dataset::SynthCifarConfig;
+/// use sfi_faultsim::campaign::Ieee754Corruption;
 /// use sfi_faultsim::fault::{Fault, FaultModel, FaultSite};
 /// use sfi_faultsim::golden::GoldenReference;
 /// use sfi_faultsim::taxonomy::{run_campaign_detailed, DetailedClass};
@@ -124,27 +128,13 @@ impl DetailedResult {
 ///     site: FaultSite { layer: 0, weight: 0, bit: 0 },
 ///     model: FaultModel::BitFlip,
 /// };
-/// let result = run_campaign_detailed(&model, &data, &golden, &[fault], true)?;
+/// let result =
+///     run_campaign_detailed(&model, &data, &golden, &[fault], true, &Ieee754Corruption)?;
 /// assert!(matches!(result.classes[0], DetailedClass::Benign | DetailedClass::Masked));
 /// # Ok(())
 /// # }
 /// ```
-pub fn run_campaign_detailed(
-    model: &Model,
-    data: &Dataset,
-    golden: &GoldenReference,
-    faults: &[Fault],
-    incremental: bool,
-) -> Result<DetailedResult, FaultSimError> {
-    run_campaign_detailed_with(model, data, golden, faults, incremental, &Ieee754Corruption)
-}
-
-/// [`run_campaign_detailed`] with a custom [`Corruption`] model.
-///
-/// # Errors
-///
-/// Same conditions as [`run_campaign_detailed`].
-pub fn run_campaign_detailed_with<C: Corruption>(
+pub fn run_campaign_detailed<C: Corruption>(
     model: &Model,
     data: &Dataset,
     golden: &GoldenReference,
@@ -209,7 +199,7 @@ pub fn run_campaign_detailed_with<C: Corruption>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{run_campaign, CampaignConfig};
+    use crate::campaign::{run_campaign, CampaignConfig, Ieee754Corruption};
     use crate::fault::{FaultModel, FaultSite};
     use sfi_dataset::SynthCifarConfig;
     use sfi_nn::resnet::ResNetConfig;
@@ -233,7 +223,8 @@ mod tests {
         // Stuck-at-1 on bit 30 multiplies small weights by ~2^128: the
         // faulty weight is huge, activations overflow, logits go non-finite.
         let fs = faults(0, 30, FaultModel::StuckAt1, 16);
-        let res = run_campaign_detailed(&model, &data, &golden, &fs, true).unwrap();
+        let res =
+            run_campaign_detailed(&model, &data, &golden, &fs, true, &Ieee754Corruption).unwrap();
         let (_, _, _, due) = res.tally();
         assert!(due >= 12, "expected mostly DUE, tally {:?}", res.tally());
     }
@@ -242,7 +233,8 @@ mod tests {
     fn mantissa_lsb_faults_are_benign_or_masked() {
         let (model, data, golden) = setup();
         let fs = faults(3, 0, FaultModel::BitFlip, 20);
-        let res = run_campaign_detailed(&model, &data, &golden, &fs, true).unwrap();
+        let res =
+            run_campaign_detailed(&model, &data, &golden, &fs, true, &Ieee754Corruption).unwrap();
         let (masked, benign, sdc, due) = res.tally();
         assert_eq!(sdc + due, 0, "tally {:?}", res.tally());
         assert_eq!(masked + benign, 20);
@@ -254,13 +246,15 @@ mod tests {
         let (model, data, golden) = setup();
         // Mid-exponent faults produce a mix of classes.
         let fs = faults(5, 28, FaultModel::BitFlip, 24);
-        let detailed = run_campaign_detailed(&model, &data, &golden, &fs, true).unwrap();
+        let detailed =
+            run_campaign_detailed(&model, &data, &golden, &fs, true, &Ieee754Corruption).unwrap();
         let binary = run_campaign(
             &model,
             &data,
             &golden,
             &fs,
             &CampaignConfig { early_exit: false, ..Default::default() },
+            &Ieee754Corruption,
         )
         .unwrap();
         assert_eq!(detailed.critical(), binary.critical(), "taxonomies must agree on Critical");
@@ -273,7 +267,8 @@ mod tests {
     fn masked_faults_run_no_inference() {
         let (model, data, golden) = setup();
         let fs = faults(0, 30, FaultModel::StuckAt0, 8); // bit 30 already 0
-        let res = run_campaign_detailed(&model, &data, &golden, &fs, true).unwrap();
+        let res =
+            run_campaign_detailed(&model, &data, &golden, &fs, true, &Ieee754Corruption).unwrap();
         assert_eq!(res.count(DetailedClass::Masked), 8);
         assert_eq!(res.inferences, 0);
     }
@@ -282,8 +277,10 @@ mod tests {
     fn incremental_matches_full_reexecution() {
         let (model, data, golden) = setup();
         let fs = faults(7, 29, FaultModel::BitFlip, 16);
-        let a = run_campaign_detailed(&model, &data, &golden, &fs, true).unwrap();
-        let b = run_campaign_detailed(&model, &data, &golden, &fs, false).unwrap();
+        let a =
+            run_campaign_detailed(&model, &data, &golden, &fs, true, &Ieee754Corruption).unwrap();
+        let b =
+            run_campaign_detailed(&model, &data, &golden, &fs, false, &Ieee754Corruption).unwrap();
         assert_eq!(a.classes, b.classes);
     }
 
@@ -292,7 +289,7 @@ mod tests {
         let (model, data, golden) = setup();
         let empty = data.truncated(0);
         assert!(matches!(
-            run_campaign_detailed(&model, &empty, &golden, &[], true),
+            run_campaign_detailed(&model, &empty, &golden, &[], true, &Ieee754Corruption),
             Err(FaultSimError::EmptyEvalSet)
         ));
     }

@@ -15,8 +15,10 @@ use sfi_faultsim::campaign::{
 use sfi_faultsim::executor::{with_executor, CancelToken};
 use sfi_faultsim::fault::Fault;
 use sfi_faultsim::journal::{recover, FaultId, JournalWriter};
+use sfi_faultsim::multi::CampaignFault;
 use sfi_faultsim::population::FaultSpace;
 use sfi_faultsim::FaultSimError;
+use sfi_obs::Probe;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
@@ -42,11 +44,20 @@ proptest! {
             &golden,
             &faults,
             &CampaignConfig { workers: 1, incremental, early_exit, ..Default::default() },
+            &Ieee754Corruption,
         )
         .unwrap();
         for workers in [2usize, 4, 8] {
             let cfg = CampaignConfig { workers, incremental, early_exit, ..Default::default() };
-            let stealing = run_campaign(&model, &data, &golden, &faults, &cfg).unwrap();
+            let stealing = run_campaign(
+                &model,
+                &data,
+                &golden,
+                &faults,
+                &cfg,
+                &Ieee754Corruption,
+            )
+            .unwrap();
             prop_assert_eq!(
                 &stealing.classes, &reference.classes,
                 "work stealing, workers = {}", workers
@@ -78,23 +89,25 @@ proptest! {
         let space = FaultSpace::stuck_at(&model);
         let faults = random_faults(&space, fault_seed, 16);
 
-        let reference = run_campaign(
-            &model,
-            &data,
-            &golden_plain,
-            &faults,
-            &CampaignConfig {
+        let reference = run_campaign(&model, &data, &golden_plain, &faults, &CampaignConfig {
                 workers: 1,
                 incremental,
                 kernel: sfi_nn::KernelPolicy::Naive,
                 ..Default::default()
-            },
-        )
+            }, &Ieee754Corruption)
         .unwrap();
         for workers in [1usize, 2, 4, 8] {
             for (golden, label) in [(&golden_plain, "uncached"), (&golden_lowered, "cached")] {
                 let cfg = CampaignConfig { workers, incremental, ..Default::default() };
-                let fast = run_campaign(&model, &data, golden, &faults, &cfg).unwrap();
+                let fast = run_campaign(
+                    &model,
+                    &data,
+                    golden,
+                    &faults,
+                    &cfg,
+                    &Ieee754Corruption,
+                )
+                .unwrap();
                 prop_assert_eq!(
                     &fast.classes, &reference.classes,
                     "fast/{} vs naive, workers = {}", label, workers
@@ -125,13 +138,27 @@ proptest! {
         let faults = random_faults(&space, fault_seed, 24);
         let cfg = CampaignConfig { workers, ..Default::default() };
 
-        let joint = run_campaign(&model, &data, &golden, &faults, &cfg).unwrap();
-        let stitched = with_executor(&model, &data, &golden, &cfg, &Ieee754Corruption, |exec| {
-            let mut classes = exec.run(&faults[..split])?.classes;
-            classes.extend(exec.run(&faults[split..])?.classes);
-            Ok(classes)
-        })
+        let joint = run_campaign(
+            &model,
+            &data,
+            &golden,
+            &faults,
+            &cfg,
+            &Ieee754Corruption,
+        )
         .unwrap();
+        let all: Vec<CampaignFault> = faults.iter().map(|&f| f.into()).collect();
+        let probe = Probe::disabled();
+        let stitched =
+            with_executor(&model, &data, &golden, &cfg, &Ieee754Corruption, probe, |exec| {
+                let mut run = |faults: &[CampaignFault]| {
+                    exec.run(faults, &mut |_| {}, &mut |_, _, _| {}, None)
+                };
+                let mut classes = run(&all[..split])?.classes;
+                classes.extend(run(&all[split..])?.classes);
+                Ok(classes)
+            })
+            .unwrap();
         prop_assert_eq!(stitched, joint.classes);
     }
 
@@ -151,7 +178,15 @@ proptest! {
         let space = FaultSpace::stuck_at(&model);
         let faults = random_faults(&space, fault_seed, 16);
         let reference =
-            run_campaign(&model, &data, &golden, &faults, &CampaignConfig::default()).unwrap();
+            run_campaign(
+                &model,
+                &data,
+                &golden,
+                &faults,
+                &CampaignConfig::default(),
+                &Ieee754Corruption,
+            )
+            .unwrap();
 
         // Session one: journal every classification, fire the token after
         // `stop_at` of them. Cancellation is cooperative, so a fast pool may
@@ -161,10 +196,12 @@ proptest! {
         let mut writer = JournalWriter::create(&dir, fingerprint, 8).unwrap();
         let token = CancelToken::new();
         let cfg = CampaignConfig { workers: WORKERS[first_idx], ..Default::default() };
-        let first = with_executor(&model, &data, &golden, &cfg, &Ieee754Corruption, |exec| {
+        let all: Vec<CampaignFault> = faults.iter().map(|&f| f.into()).collect();
+        let probe = Probe::disabled();
+        let first = with_executor(&model, &data, &golden, &cfg, &Ieee754Corruption, probe, |exec| {
             let mut journal_err = None;
-            let res = exec.run_with(
-                &faults,
+            let res = exec.run(
+                &all,
                 &mut |_| {},
                 &mut |idx, class, inferences| {
                     if let Err(e) = writer.append(FaultId::new(0, idx), class, inferences) {
@@ -204,7 +241,15 @@ proptest! {
             .map(|(_, f)| *f)
             .collect();
         let resume_cfg = CampaignConfig { workers: WORKERS[resume_idx], ..Default::default() };
-        let fresh = run_campaign(&model, &data, &golden, &todo, &resume_cfg).unwrap();
+        let fresh = run_campaign(
+            &model,
+            &data,
+            &golden,
+            &todo,
+            &resume_cfg,
+            &Ieee754Corruption,
+        )
+        .unwrap();
         let mut cursor = 0;
         let merged: Vec<_> = (0..faults.len())
             .map(|i| match done.get(&FaultId::new(0, i)) {

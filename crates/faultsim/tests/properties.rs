@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use sfi_dataset::SynthCifarConfig;
-use sfi_faultsim::campaign::{run_campaign, CampaignConfig};
+use sfi_faultsim::campaign::{run_campaign, CampaignConfig, Ieee754Corruption};
 use sfi_faultsim::fault::{Fault, FaultModel, FaultSite};
 use sfi_faultsim::golden::GoldenReference;
 use sfi_faultsim::injector::{inject, revert};
@@ -137,8 +137,24 @@ proptest! {
         for workers in [1usize, 4, 8] {
             let plain_cfg = CampaignConfig { workers, convergence: false, ..Default::default() };
             let exit_cfg = CampaignConfig { workers, convergence: true, ..Default::default() };
-            let plain = run_campaign(&model, &data, &golden, &faults, &plain_cfg).unwrap();
-            let exit = run_campaign(&model, &data, &golden, &faults, &exit_cfg).unwrap();
+            let plain = run_campaign(
+                &model,
+                &data,
+                &golden,
+                &faults,
+                &plain_cfg,
+                &Ieee754Corruption,
+            )
+            .unwrap();
+            let exit = run_campaign(
+                &model,
+                &data,
+                &golden,
+                &faults,
+                &exit_cfg,
+                &Ieee754Corruption,
+            )
+            .unwrap();
             prop_assert_eq!(&plain.classes, &exit.classes, "workers = {}", workers);
             prop_assert_eq!(plain.inferences, exit.inferences, "workers = {}", workers);
         }
@@ -158,7 +174,7 @@ fn campaign_worker_count_invariance() {
     let mut reference = None;
     for workers in [1usize, 2, 3, 8] {
         let cfg = CampaignConfig { workers, ..Default::default() };
-        let res = run_campaign(&model, &data, &golden, &faults, &cfg).unwrap();
+        let res = run_campaign(&model, &data, &golden, &faults, &cfg, &Ieee754Corruption).unwrap();
         match &reference {
             None => reference = Some(res.classes),
             Some(r) => assert_eq!(r, &res.classes, "workers = {workers}"),

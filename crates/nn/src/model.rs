@@ -51,8 +51,8 @@ pub struct ForwardOptions<'a> {
     /// non-converging passes and by unsupported node kinds.
     pub dirty_unit: Option<usize>,
     /// Compiled execution plan for this model, when the caller holds one.
-    /// [`Model::forward_from_converging`] reads tensor lifetime
-    /// ([`CompiledPlan::last_reader`]) from it instead of recomputing the
+    /// [`Model::forward_from_converging`] reads tensor lifetime (the plan's
+    /// `last_reader` table) from it instead of recomputing the
     /// last-reader table per pass; the plan's global table agrees with the
     /// per-pass one on every suffix node (all readers of a suffix node are
     /// themselves suffix nodes).

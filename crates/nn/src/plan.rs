@@ -379,7 +379,7 @@ impl CompiledPlan {
     /// switching [`batched_profitable`](Self::batched_profitable) from the
     /// static flop threshold to measured wall-clock costs. `single` must be a
     /// one-image golden cache, `batched` the stacked eval-image cache.
-    /// Every step takes the min of [`CALIBRATION_REPS`] repetitions after
+    /// Every step takes the min of `CALIBRATION_REPS` repetitions after
     /// one warmup; fused groups are timed as the one fused kernel the
     /// batched engine actually runs, attributed to the head conv.
     ///

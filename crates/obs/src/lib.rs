@@ -649,7 +649,7 @@ impl Probe {
     }
 
     /// The metric handle for worker `worker_id` (shards are shared modulo
-    /// [`SHARDS`], which only blurs attribution, never counts).
+    /// `SHARDS`, which only blurs attribution, never counts).
     pub fn worker(&self, worker_id: usize) -> WorkerProbe<'_> {
         WorkerProbe { shard: self.enabled().then(|| &self.shards[worker_id % SHARDS]) }
     }

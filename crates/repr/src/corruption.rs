@@ -42,8 +42,8 @@ pub fn quantize_weights(store: &mut ParameterStore, format: Format) {
 /// A [`Corruption`] model that applies faults to the *encoded*
 /// reduced-precision weight: `decode(apply_bits(encode(w)))`.
 ///
-/// Use with [`sfi_faultsim::campaign::run_campaign_with`] or
-/// [`sfi_core::execute::execute_plan_in_space`] and a
+/// Use with [`sfi_faultsim::campaign::run_campaign`] or
+/// [`sfi_core::execute::execute_plan_traced_any`] and a
 /// `FaultSpace::with_bits(format.bits())` fault space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FormatCorruption {

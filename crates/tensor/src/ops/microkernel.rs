@@ -185,7 +185,7 @@ fn pack_b(b: &[f32], n: usize, k0: usize, kw: usize, n0: usize, nw: usize, bp: &
 /// Register-tiled matrix multiply `c[m][n] += a[m][k] * b[k][n]`,
 /// bit-identical to [`gemm`](super::gemm).
 ///
-/// Blocks the reduction over [`KC`] and the columns over [`NC`], packs the
+/// Blocks the reduction over `KC` and the columns over `NC`, packs the
 /// active A block into `MR`-interleaved strips and the active B block into
 /// `NR`-interleaved strips (so the microkernel's operand streams are
 /// contiguous), and walks `MR x NR` register tiles over the block. Each
@@ -319,7 +319,7 @@ pub fn gemm_row_lanes(k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
 
 /// The `m == 1` dispatch entry: [`gemm_row_lanes`] when the row is wide
 /// enough for at least one full lane group *and* B is small enough for
-/// the lane kernel's strided reads to stay cache-fed ([`ROW_MAX_B_BYTES`]),
+/// the lane kernel's strided reads to stay cache-fed (`ROW_MAX_B_BYTES`),
 /// the naive kernel otherwise. Bit-identical either way.
 ///
 /// # Panics

@@ -109,7 +109,7 @@ fn bn_apply(data: &mut [f32], shape: Shape, params: &BatchNormParams<'_>) {
 /// `y = x * scale + shift` with `scale = γ / sqrt(σ² + ε)` and
 /// `shift = β - μ * scale`.
 ///
-/// This is the **only** place those expressions are written — [`bn_apply`]
+/// This is the **only** place those expressions are written — `bn_apply`
 /// and the compiled-plan conv+bn(+ReLU) fused epilogue both call it — so
 /// the folded and unfused paths stay bit-identical by construction: the
 /// same f32 operation sequence produces the coefficients, and both apply

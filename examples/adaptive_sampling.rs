@@ -30,8 +30,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for layer in 0..space.layers() {
         let subpop = space.layer_subpopulation(layer)?;
         let fixed = sample_size(subpop.size(), &spec);
-        let adaptive =
-            run_adaptive(&model, &data, &golden, &subpop, &AdaptiveConfig::new(target), 11, &cfg)?;
+        let adaptive = run_adaptive(
+            &model,
+            &data,
+            &golden,
+            &subpop,
+            &AdaptiveConfig::new(target),
+            11,
+            &cfg,
+            &Ieee754Corruption,
+        )?;
         table.add_row(vec![
             format!("L{layer}"),
             group_digits(subpop.size()),

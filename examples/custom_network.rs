@@ -73,7 +73,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         plan.injected_percent()
     );
 
-    let outcome = execute_plan(&model, &data, &golden, &plan, 1, &CampaignConfig::default())?;
+    let outcome = execute_plan_traced_any(
+        &model,
+        &data,
+        &golden,
+        &plan,
+        CampaignSpace::Weight(&space),
+        1,
+        &CampaignConfig::default(),
+        &Ieee754Corruption,
+        Probe::disabled(),
+        &mut |_| {},
+    )?;
     println!("injected {} faults in {:.2?}\n", outcome.injections(), outcome.elapsed());
     for l in 0..space.layers() {
         if let Some(est) = outcome.layer_estimate(l, Confidence::C99) {

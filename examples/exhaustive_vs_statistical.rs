@@ -42,7 +42,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "coverage".into(),
     ]);
     for plan in plans {
-        let outcome = execute_plan(&model, &data, &golden, &plan, 11, &cfg)?;
+        let outcome = execute_plan_traced_any(
+            &model,
+            &data,
+            &golden,
+            &plan,
+            CampaignSpace::Weight(&space),
+            11,
+            &cfg,
+            &Ieee754Corruption,
+            Probe::disabled(),
+            &mut |_| {},
+        )?;
         let validation = validate_against_exhaustive(&outcome, &truth, Confidence::C99);
         table.add_row(vec![
             plan.scheme().to_string(),

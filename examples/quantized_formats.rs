@@ -27,15 +27,17 @@ fn assess(format: Format) -> Result<Vec<String>, Box<dyn std::error::Error>> {
     let plan = plan_data_aware_with_p(&space, &p, &spec)?;
 
     let corruption = FormatCorruption::new(format);
-    let outcome = execute_plan_in_space(
+    let outcome = execute_plan_traced_any(
         &model,
         &data,
         &golden,
         &plan,
-        &space,
+        CampaignSpace::Weight(&space),
         7,
         &CampaignConfig::default(),
         &corruption,
+        Probe::disabled(),
+        &mut |_| {},
     )?;
     let est = outcome.network_estimate(Confidence::C99)?;
     Ok(vec![

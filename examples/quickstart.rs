@@ -31,7 +31,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Execute: every sampled fault is injected, inference re-runs from the
     // faulted layer (incremental re-execution), and the fault is classified
     // Critical when any image's top-1 prediction changes.
-    let outcome = execute_plan(&model, &data, &golden, &plan, 7, &CampaignConfig::default())?;
+    let outcome = execute_plan_traced_any(
+        &model,
+        &data,
+        &golden,
+        &plan,
+        CampaignSpace::Weight(&space),
+        7,
+        &CampaignConfig::default(),
+        &Ieee754Corruption,
+        Probe::disabled(),
+        &mut |_| {},
+    )?;
     println!(
         "executed {} injections / {} inferences in {:.2?}\n",
         outcome.injections(),

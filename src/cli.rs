@@ -20,9 +20,7 @@ use std::time::Instant;
 
 use sfi_core::bits::bit_ranking;
 use sfi_core::checkpoint::{execute_plan_checkpointed_traced_any, CampaignRun, CheckpointConfig};
-use sfi_core::execute::{
-    execute_plan, execute_plan_traced_any, fault_model_label, CampaignSpace, PlanProgress,
-};
+use sfi_core::execute::{execute_plan_traced_any, fault_model_label, CampaignSpace, PlanProgress};
 use sfi_core::hardening::{plan_protection, HardeningConfig};
 use sfi_core::plan::{
     activation_bit_analysis, plan_accumulated, plan_data_aware, plan_data_unaware, plan_layer_wise,
@@ -1038,13 +1036,17 @@ pub fn run(
                 "data-unaware campaign ({} faults) for the bit ranking...",
                 group_digits(plan.total_sample())
             )?;
-            let outcome = execute_plan(
+            let outcome = execute_plan_traced_any(
                 &model,
                 &data,
                 &golden,
                 &plan,
+                CampaignSpace::Weight(&space),
                 opts.seed,
                 &CampaignConfig { workers: opts.workers, ..CampaignConfig::default() },
+                &Ieee754Corruption,
+                Probe::disabled(),
+                &mut |_| {},
             )?;
             let mut table =
                 TextTable::new(vec!["bit".into(), "critical %".into(), "± %".into(), "n".into()]);
@@ -1070,13 +1072,17 @@ pub fn run(
             let spec =
                 SampleSpec { error_margin: opts.error_margin, ..SampleSpec::paper_default() };
             let plan = plan_layer_wise(&space, &spec);
-            let outcome = execute_plan(
+            let outcome = execute_plan_traced_any(
                 &model,
                 &data,
                 &golden,
                 &plan,
+                CampaignSpace::Weight(&space),
                 opts.seed,
                 &CampaignConfig { workers: opts.workers, ..CampaignConfig::default() },
+                &Ieee754Corruption,
+                Probe::disabled(),
+                &mut |_| {},
             )?;
             let full = HardeningConfig::secded32(model.store().total_weights() as u64 * 7);
             let cfg = HardeningConfig {

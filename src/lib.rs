@@ -32,7 +32,18 @@
 //! let plan = plan_layer_wise(&space, &spec);
 //!
 //! // 3. Execute and read the per-layer criticality estimates.
-//! let outcome = execute_plan(&model, &data, &golden, &plan, 7, &CampaignConfig::default())?;
+//! let outcome = execute_plan_traced_any(
+//!     &model,
+//!     &data,
+//!     &golden,
+//!     &plan,
+//!     CampaignSpace::Weight(&space),
+//!     7,
+//!     &CampaignConfig::default(),
+//!     &Ieee754Corruption,
+//!     Probe::disabled(),
+//!     &mut |_| {},
+//! )?;
 //! let est = outcome.layer_estimate(0, Confidence::C99).unwrap();
 //! println!("layer 0: {:.2}% ± {:.2}%", est.proportion * 100.0, est.error_margin * 100.0);
 //! # Ok(())
@@ -58,12 +69,10 @@ pub mod prelude {
     pub use sfi_core::adaptive::{run_adaptive, AdaptiveConfig, AdaptiveOutcome};
     pub use sfi_core::bits::{bit_ranking, layer_bit_matrix, BitVulnerability};
     pub use sfi_core::checkpoint::{
-        execute_plan_checkpointed, execute_plan_checkpointed_any, plan_fingerprint,
-        plan_fingerprint_any, CampaignRun, CheckpointConfig, ResumeStats,
+        execute_plan_checkpointed_traced_any, plan_fingerprint_any, CampaignRun, CheckpointConfig,
+        ResumeStats,
     };
-    pub use sfi_core::execute::{
-        execute_plan, execute_plan_any, execute_plan_in_space, CampaignSpace, SfiOutcome,
-    };
+    pub use sfi_core::execute::{execute_plan_traced_any, CampaignSpace, SfiOutcome};
     pub use sfi_core::exhaustive::ExhaustiveTruth;
     pub use sfi_core::plan::{
         activation_bit_analysis, plan_accumulated, plan_data_aware, plan_data_aware_with_p,
@@ -74,7 +83,9 @@ pub mod prelude {
     pub use sfi_core::SfiError;
     pub use sfi_dataset::{evaluate, Dataset, SynthCifarConfig};
     pub use sfi_faultsim::activation::{ActivationFault, ActivationSpace};
-    pub use sfi_faultsim::campaign::{run_campaign, CampaignConfig, Criterion, FaultClass};
+    pub use sfi_faultsim::campaign::{
+        run_campaign, CampaignConfig, Criterion, FaultClass, Ieee754Corruption,
+    };
     pub use sfi_faultsim::executor::CancelToken;
     pub use sfi_faultsim::fault::{Fault, FaultModel, FaultSite};
     pub use sfi_faultsim::golden::GoldenReference;
@@ -85,6 +96,7 @@ pub mod prelude {
     pub use sfi_nn::resnet::ResNetConfig;
     pub use sfi_nn::vgg::VggConfig;
     pub use sfi_nn::Model;
+    pub use sfi_obs::Probe;
     pub use sfi_repr::{
         data_aware_p_format, quantize_weights, Format, FormatBitAnalysis, FormatCorruption,
     };

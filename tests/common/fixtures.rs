@@ -5,8 +5,8 @@
 //! crash-tolerance / delta-equivalence tests, so every suite draws models,
 //! datasets, faults, and IEEE-754 special values from the same seeded,
 //! shape-parameterized generators. The crates that include this file must
-//! have `sfi-tensor`, `sfi-nn`, `sfi-dataset`, `sfi-faultsim`, `proptest`,
-//! and `rand` visible (as dependencies or dev-dependencies).
+//! have `sfi-tensor`, `sfi-nn`, `sfi-dataset`, `sfi-faultsim`, `sfi-core`,
+//! `proptest`, and `rand` visible (as dependencies or dev-dependencies).
 
 #![allow(dead_code)]
 #![allow(unused_imports)]
@@ -18,8 +18,10 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use sfi_core::execute::SfiOutcome;
 use sfi_dataset::{Dataset, SynthCifarConfig};
 use sfi_faultsim::activation::{ActivationFault, ActivationSpace};
+use sfi_faultsim::executor::CampaignTelemetry;
 use sfi_faultsim::fault::Fault;
 use sfi_faultsim::golden::GoldenReference;
 use sfi_faultsim::multi::{AccumulatedFault, FaultTarget};
@@ -76,6 +78,79 @@ pub fn unique_tmp_dir(tag: &str) -> PathBuf {
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// What a resumed plan run must reproduce of an uninterrupted one:
+/// scheme, strata, per-stratum class and inference tallies, layer tallies
+/// and totals. Wall-clock durations and the engine, early-exit, cache and
+/// arena counters are left out — those describe only a session's fresh
+/// work, and a journal stores classifications, not how they were reached.
+pub fn fingerprint(outcome: &SfiOutcome) -> impl PartialEq + std::fmt::Debug {
+    (
+        outcome.scheme(),
+        outcome.strata().to_vec(),
+        outcome
+            .stratum_telemetry()
+            .iter()
+            .map(|t| {
+                (t.injections, t.inferences, t.masked, t.critical, t.non_critical, t.exec_failures)
+            })
+            .collect::<Vec<_>>(),
+        outcome.layer_tallies().to_vec(),
+        outcome.injections(),
+        outcome.inferences(),
+    )
+}
+
+/// Every count-type field of each stratum's telemetry, in plan order: all
+/// of [`CampaignTelemetry`] but `wall` and `arena_peak_bytes`. The
+/// exhaustive destructuring makes a new telemetry field a compile error
+/// here until it is classified as a count or not.
+pub fn telemetry_counts(outcome: &SfiOutcome) -> Vec<[u64; 16]> {
+    outcome
+        .stratum_telemetry()
+        .iter()
+        .map(|t| {
+            let CampaignTelemetry {
+                wall: _,
+                arena_peak_bytes: _,
+                injections,
+                inferences,
+                masked,
+                critical,
+                non_critical,
+                exec_failures,
+                lowering_hits,
+                lowering_misses,
+                converged,
+                nodes_skipped,
+                delta_sparse_nodes,
+                delta_fallbacks,
+                delta_dirty_blocks,
+                engine_dense,
+                engine_delta,
+                engine_batched,
+            } = *t;
+            [
+                injections,
+                inferences,
+                masked,
+                critical,
+                non_critical,
+                exec_failures,
+                lowering_hits,
+                lowering_misses,
+                converged,
+                nodes_skipped,
+                delta_sparse_nodes,
+                delta_fallbacks,
+                delta_dirty_blocks,
+                engine_dense,
+                engine_delta,
+                engine_batched,
+            ]
+        })
+        .collect()
 }
 
 /// The reduced-width ResNet-20 used by the determinism suites.

@@ -10,13 +10,11 @@
 #[path = "common/fixtures.rs"]
 mod fixtures;
 
-use fixtures::{activation_space, campaign_world, tiny_resnet, unique_tmp_dir};
-use proptest::prelude::*;
-use sfi::core::checkpoint::{
-    execute_plan_checkpointed, execute_plan_checkpointed_any, CampaignRun, CheckpointConfig,
-    ResumeStats,
+use fixtures::{
+    activation_space, campaign_world, fingerprint, telemetry_counts, tiny_resnet, unique_tmp_dir,
 };
-use sfi::core::execute::{execute_plan_any, execute_plan_in_space};
+use proptest::prelude::*;
+use sfi::core::checkpoint::{CampaignRun, CheckpointConfig, ResumeStats};
 use sfi::core::plan::{plan_accumulated, plan_transient};
 use sfi::faultsim::campaign::{Corruption, Ieee754Corruption};
 use sfi::prelude::*;
@@ -34,24 +32,6 @@ fn setup() -> (Model, Dataset, GoldenReference, FaultSpace, SfiPlan) {
     (model, data, golden, space, plan)
 }
 
-/// Everything of an [`SfiOutcome`] except wall-clock durations.
-fn fingerprint(outcome: &SfiOutcome) -> impl PartialEq + std::fmt::Debug {
-    (
-        outcome.scheme(),
-        outcome.strata().to_vec(),
-        outcome
-            .stratum_telemetry()
-            .iter()
-            .map(|t| {
-                (t.injections, t.inferences, t.masked, t.critical, t.non_critical, t.exec_failures)
-            })
-            .collect::<Vec<_>>(),
-        outcome.layer_tallies().to_vec(),
-        outcome.injections(),
-        outcome.inferences(),
-    )
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
@@ -67,18 +47,40 @@ proptest! {
         let (model, data, golden, space, plan) = setup();
         let seed = 11u64;
         let clean_cfg = CampaignConfig::default();
-        let clean = execute_plan(&model, &data, &golden, &plan, seed, &clean_cfg).unwrap();
+        let clean = execute_plan_traced_any(
+            &model,
+            &data,
+            &golden,
+            &plan,
+            CampaignSpace::Weight(&space),
+            seed,
+            &clean_cfg,
+            &Ieee754Corruption,
+            Probe::disabled(),
+            &mut |_| {},
+        )
+        .unwrap();
         let reference = fingerprint(&clean);
 
         let dir = unique_tmp_dir("crash-tolerance-prop");
         let first_cfg = CampaignConfig { workers: WORKERS[first_idx], ..clean_cfg };
         let stop_at = ((clean.injections() as f64 * stop_frac) as u64).max(1);
         let token = CancelToken::new();
-        let first = execute_plan_checkpointed(
-            &model, &data, &golden, &plan, &space, seed, &first_cfg, &Ieee754Corruption,
-            &CheckpointConfig::new(&dir), Some(&token),
+        let first = execute_plan_checkpointed_traced_any(
+            &model,
+            &data,
+            &golden,
+            &plan,
+            CampaignSpace::Weight(&space),
+            seed,
+            &first_cfg,
+            &Ieee754Corruption,
+            &CheckpointConfig::new(&dir),
+            Some(&token),
+            Probe::disabled(),
             &mut |p| { if p.plan_completed >= stop_at { token.cancel(); } },
-        ).unwrap();
+        )
+        .unwrap();
         let outcome = match first {
             // Fast pools may complete before the token is observed —
             // cancellation is cooperative, not preemptive.
@@ -90,10 +92,21 @@ proptest! {
                 let checkpoint = CheckpointConfig {
                     dir: dir.clone(), resume: true, checkpoint_every: 16,
                 };
-                let resumed = execute_plan_checkpointed(
-                    &model, &data, &golden, &plan, &space, seed, &resume_cfg,
-                    &Ieee754Corruption, &checkpoint, None, &mut |_| {},
-                ).unwrap();
+                let resumed = execute_plan_checkpointed_traced_any(
+                    &model,
+                    &data,
+                    &golden,
+                    &plan,
+                    CampaignSpace::Weight(&space),
+                    seed,
+                    &resume_cfg,
+                    &Ieee754Corruption,
+                    &checkpoint,
+                    None,
+                    Probe::disabled(),
+                    &mut |_| {},
+                )
+                .unwrap();
                 let (outcome, stats) = match resumed {
                     CampaignRun::Complete { outcome, stats } => (outcome, stats),
                     CampaignRun::Interrupted { .. } => {
@@ -137,19 +150,39 @@ proptest! {
         };
         let seed = 11u64;
         let cfg = CampaignConfig::default();
-        let clean = execute_plan_any(
-            &model, &data, &golden, &plan, cspace, seed, &cfg, &Ieee754Corruption,
-        ).unwrap();
+        let clean = execute_plan_traced_any(
+            &model,
+            &data,
+            &golden,
+            &plan,
+            cspace,
+            seed,
+            &cfg,
+            &Ieee754Corruption,
+            Probe::disabled(),
+            &mut |_| {},
+        )
+        .unwrap();
         let reference = fingerprint(&clean);
 
         let dir = unique_tmp_dir("crash-tolerance-mixed");
         let stop_at = ((clean.injections() as f64 * stop_frac) as u64).max(1);
         let token = CancelToken::new();
-        let first = execute_plan_checkpointed_any(
-            &model, &data, &golden, &plan, cspace, seed, &cfg, &Ieee754Corruption,
-            &CheckpointConfig::new(&dir), Some(&token),
+        let first = execute_plan_checkpointed_traced_any(
+            &model,
+            &data,
+            &golden,
+            &plan,
+            cspace,
+            seed,
+            &cfg,
+            &Ieee754Corruption,
+            &CheckpointConfig::new(&dir),
+            Some(&token),
+            Probe::disabled(),
             &mut |p| { if p.plan_completed >= stop_at { token.cancel(); } },
-        ).unwrap();
+        )
+        .unwrap();
         let outcome = match first {
             CampaignRun::Complete { outcome, .. } => outcome,
             CampaignRun::Interrupted { stats } => {
@@ -158,10 +191,21 @@ proptest! {
                 let checkpoint = CheckpointConfig {
                     dir: dir.clone(), resume: true, checkpoint_every: 16,
                 };
-                let resumed = execute_plan_checkpointed_any(
-                    &model, &data, &golden, &plan, cspace, seed, &resume_cfg,
-                    &Ieee754Corruption, &checkpoint, None, &mut |_| {},
-                ).unwrap();
+                let resumed = execute_plan_checkpointed_traced_any(
+                    &model,
+                    &data,
+                    &golden,
+                    &plan,
+                    cspace,
+                    seed,
+                    &resume_cfg,
+                    &Ieee754Corruption,
+                    &checkpoint,
+                    None,
+                    Probe::disabled(),
+                    &mut |_| {},
+                )
+                .unwrap();
                 let (outcome, stats) = match resumed {
                     CampaignRun::Complete { outcome, stats } => (outcome, stats),
                     CampaignRun::Interrupted { .. } => {
@@ -176,6 +220,80 @@ proptest! {
         prop_assert_eq!(fingerprint(&outcome), reference,
             "accumulated={} resume workers={}", accumulated, WORKERS[resume_idx]);
         std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// A fresh checkpointed run goes through the same stratum loop as the
+/// plain run, so it must keep every count-type telemetry field — classes,
+/// inferences, engine mix, early-exit, delta and lowering counters — not
+/// just the class tallies a resume is held to, for weight, transient and
+/// accumulated plans at any worker count.
+#[test]
+fn fresh_checkpointed_run_keeps_every_counter_of_the_plain_run() {
+    let model = tiny_resnet(5, 8);
+    let (data, golden) = campaign_world(&model, 8, 2);
+    let weights = FaultSpace::stuck_at(&model);
+    let acts = activation_space(&model, &data);
+    let spec = SampleSpec { error_margin: 0.2, ..SampleSpec::paper_default() };
+    let union = weights.total() + acts.total();
+    let plans = [
+        ("weight", plan_layer_wise(&weights, &spec), CampaignSpace::Weight(&weights)),
+        (
+            "transient",
+            plan_transient(&acts, FaultTarget::Activation, SchemeKind::LayerWise, None, &spec)
+                .unwrap(),
+            CampaignSpace::Transient(&acts),
+        ),
+        (
+            "accumulated",
+            plan_accumulated(union, 2, &spec).unwrap(),
+            CampaignSpace::Accumulated { weights: &weights, activations: &acts },
+        ),
+    ];
+    for (label, plan, space) in &plans {
+        for workers in [1usize, 4] {
+            let cfg = CampaignConfig { workers, ..CampaignConfig::default() };
+            let plain = execute_plan_traced_any(
+                &model,
+                &data,
+                &golden,
+                plan,
+                *space,
+                17,
+                &cfg,
+                &Ieee754Corruption,
+                Probe::disabled(),
+                &mut |_| {},
+            )
+            .unwrap();
+            let dir = unique_tmp_dir("crash-tolerance-counters");
+            let run = execute_plan_checkpointed_traced_any(
+                &model,
+                &data,
+                &golden,
+                plan,
+                *space,
+                17,
+                &cfg,
+                &Ieee754Corruption,
+                &CheckpointConfig::new(&dir),
+                None,
+                Probe::disabled(),
+                &mut |_| {},
+            )
+            .unwrap();
+            let CampaignRun::Complete { outcome, stats } = run else {
+                panic!("{label} workers={workers}: an uncancelled run completes")
+            };
+            assert_eq!(stats.completed, plain.injections(), "{label} workers={workers}");
+            assert_eq!(fingerprint(&outcome), fingerprint(&plain), "{label} workers={workers}");
+            assert_eq!(
+                telemetry_counts(&outcome),
+                telemetry_counts(&plain),
+                "{label} workers={workers}"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 }
 
@@ -212,28 +330,48 @@ impl Corruption for PoisonedCorruption {
 fn worker_panic_mid_plan_neither_hangs_nor_aborts() {
     let (model, data, golden, space, plan) = setup();
     let seed = 3u64;
-    let clean =
-        execute_plan(&model, &data, &golden, &plan, seed, &CampaignConfig::default()).unwrap();
+    let clean = execute_plan_traced_any(
+        &model,
+        &data,
+        &golden,
+        &plan,
+        CampaignSpace::Weight(&space),
+        seed,
+        &CampaignConfig::default(),
+        &Ieee754Corruption,
+        Probe::disabled(),
+        &mut |_| {},
+    )
+    .unwrap();
 
     let target_stratum = 2usize;
     let poison = sampled_fault(&plan, &space, seed, target_stratum, 1);
     let poison_class = {
-        let res =
-            run_campaign(&model, &data, &golden, &[poison], &CampaignConfig::default()).unwrap();
+        let res = run_campaign(
+            &model,
+            &data,
+            &golden,
+            &[poison],
+            &CampaignConfig::default(),
+            &Ieee754Corruption,
+        )
+        .unwrap();
         res.classes[0]
     };
     // 4 workers, 1 retry: the poisoned fault retires two workers; the two
     // survivors must still finish the whole plan.
     let cfg = CampaignConfig { workers: 4, ..CampaignConfig::default() };
-    let outcome = execute_plan_in_space(
+    let outcome = execute_plan_traced_any(
         &model,
         &data,
         &golden,
         &plan,
-        &space,
+        CampaignSpace::Weight(&space),
         seed,
         &cfg,
         &PoisonedCorruption { poison },
+        Probe::disabled(),
+        &mut |_| {},
     )
     .unwrap();
 

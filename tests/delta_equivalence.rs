@@ -14,12 +14,13 @@ mod fixtures;
 
 use fixtures::{
     activation_space, assert_forward_equiv, assert_site_delta_exact, assert_site_forward_equiv,
-    campaign_world, input_space, micro_resnet, random_accumulated_faults, random_faults,
-    random_small_input, random_small_model, random_transient_faults, tiny_resnet, unique_tmp_dir,
+    campaign_world, fingerprint, input_space, micro_resnet, random_accumulated_faults,
+    random_faults, random_small_input, random_small_model, random_transient_faults, tiny_resnet,
+    unique_tmp_dir,
 };
 use proptest::prelude::*;
-use sfi::core::checkpoint::{execute_plan_checkpointed, CampaignRun, CheckpointConfig};
-use sfi::faultsim::campaign::{run_any_campaign, Ieee754Corruption};
+use sfi::core::checkpoint::{CampaignRun, CheckpointConfig};
+use sfi::faultsim::campaign::Ieee754Corruption;
 use sfi::prelude::*;
 use sfi_nn::{ParamKind, DELTA_SATURATION_DEFAULT};
 
@@ -28,24 +29,6 @@ fn weight_params(model: &Model) -> Vec<usize> {
     (0..model.store().len())
         .filter(|&p| matches!(model.store().get(p).unwrap().kind, ParamKind::Weight { .. }))
         .collect()
-}
-
-/// Everything of an [`SfiOutcome`] except wall-clock durations.
-fn fingerprint(outcome: &SfiOutcome) -> impl PartialEq + std::fmt::Debug {
-    (
-        outcome.scheme(),
-        outcome.strata().to_vec(),
-        outcome
-            .stratum_telemetry()
-            .iter()
-            .map(|t| {
-                (t.injections, t.inferences, t.masked, t.critical, t.non_critical, t.exec_failures)
-            })
-            .collect::<Vec<_>>(),
-        outcome.layer_tallies().to_vec(),
-        outcome.injections(),
-        outcome.inferences(),
-    )
 }
 
 proptest! {
@@ -132,7 +115,15 @@ proptest! {
 
         let base =
             CampaignConfig { workers: 1, convergence: false, delta: false, ..Default::default() };
-        let reference = run_campaign(&model, &data, &golden, &faults, &base).unwrap();
+        let reference = run_campaign(
+            &model,
+            &data,
+            &golden,
+            &faults,
+            &base,
+            &Ieee754Corruption,
+        )
+        .unwrap();
         for workers in [1usize, 4, 8] {
             for (convergence, delta, label) in [
                 (false, false, "no-early-exit"),
@@ -141,7 +132,15 @@ proptest! {
                 (true, true, "delta+early-exit"),
             ] {
                 let cfg = CampaignConfig { workers, convergence, delta, ..Default::default() };
-                let res = run_campaign(&model, &data, &golden, &faults, &cfg).unwrap();
+                let res = run_campaign(
+                    &model,
+                    &data,
+                    &golden,
+                    &faults,
+                    &cfg,
+                    &Ieee754Corruption,
+                )
+                .unwrap();
                 prop_assert_eq!(
                     &res.classes, &reference.classes,
                     "{} workers={}", label, workers
@@ -185,12 +184,28 @@ proptest! {
                 delta: false,
                 ..Default::default()
             };
-            let reference = run_any_campaign(&model, &data, &golden, &generic, &base).unwrap();
+            let reference = run_campaign(
+                &model,
+                &data,
+                &golden,
+                &generic,
+                &base,
+                &Ieee754Corruption,
+            )
+            .unwrap();
             for workers in [1usize, 4, 8] {
                 for (convergence, delta) in [(true, false), (false, true), (true, true)] {
                     let cfg =
                         CampaignConfig { workers, convergence, delta, ..Default::default() };
-                    let res = run_any_campaign(&model, &data, &golden, &generic, &cfg).unwrap();
+                    let res = run_campaign(
+                        &model,
+                        &data,
+                        &golden,
+                        &generic,
+                        &cfg,
+                        &Ieee754Corruption,
+                    )
+                    .unwrap();
                     prop_assert_eq!(
                         &res.classes, &reference.classes,
                         "{} workers={} convergence={} delta={}", name, workers, convergence, delta
@@ -217,11 +232,27 @@ proptest! {
             instances.into_iter().map(CampaignFault::Accumulated).collect();
         let base =
             CampaignConfig { workers: 1, convergence: false, delta: false, ..Default::default() };
-        let reference = run_any_campaign(&model, &data, &golden, &generic, &base).unwrap();
+        let reference = run_campaign(
+            &model,
+            &data,
+            &golden,
+            &generic,
+            &base,
+            &Ieee754Corruption,
+        )
+        .unwrap();
         for workers in [1usize, 4, 8] {
             for (convergence, delta) in [(true, false), (true, true)] {
                 let cfg = CampaignConfig { workers, convergence, delta, ..Default::default() };
-                let res = run_any_campaign(&model, &data, &golden, &generic, &cfg).unwrap();
+                let res = run_campaign(
+                    &model,
+                    &data,
+                    &golden,
+                    &generic,
+                    &cfg,
+                    &Ieee754Corruption,
+                )
+                .unwrap();
                 prop_assert_eq!(
                     &res.classes, &reference.classes,
                     "k={} workers={} convergence={} delta={}", k, workers, convergence, delta
@@ -247,7 +278,19 @@ proptest! {
         let plan = plan_layer_wise(&space, &spec);
         let seed = 11u64;
         let dense_cfg = CampaignConfig { convergence: false, delta: false, ..Default::default() };
-        let clean = execute_plan(&model, &data, &golden, &plan, seed, &dense_cfg).unwrap();
+        let clean = execute_plan_traced_any(
+            &model,
+            &data,
+            &golden,
+            &plan,
+            CampaignSpace::Weight(&space),
+            seed,
+            &dense_cfg,
+            &Ieee754Corruption,
+            Probe::disabled(),
+            &mut |_| {},
+        )
+        .unwrap();
         let reference = fingerprint(&clean);
 
         let dir = unique_tmp_dir("delta-cross-path");
@@ -259,11 +302,21 @@ proptest! {
         };
         let stop_at = ((clean.injections() as f64 * stop_frac) as u64).max(1);
         let token = CancelToken::new();
-        let first = execute_plan_checkpointed(
-            &model, &data, &golden, &plan, &space, seed, &first_cfg, &Ieee754Corruption,
-            &CheckpointConfig::new(&dir), Some(&token),
+        let first = execute_plan_checkpointed_traced_any(
+            &model,
+            &data,
+            &golden,
+            &plan,
+            CampaignSpace::Weight(&space),
+            seed,
+            &first_cfg,
+            &Ieee754Corruption,
+            &CheckpointConfig::new(&dir),
+            Some(&token),
+            Probe::disabled(),
             &mut |p| { if p.plan_completed >= stop_at { token.cancel(); } },
-        ).unwrap();
+        )
+        .unwrap();
         let outcome = match first {
             // Cancellation is cooperative; a fast pool may finish first.
             CampaignRun::Complete { outcome, .. } => outcome,
@@ -277,10 +330,21 @@ proptest! {
                 };
                 let checkpoint =
                     CheckpointConfig { dir: dir.clone(), resume: true, checkpoint_every: 16 };
-                let resumed = execute_plan_checkpointed(
-                    &model, &data, &golden, &plan, &space, seed, &resume_cfg,
-                    &Ieee754Corruption, &checkpoint, None, &mut |_| {},
-                ).unwrap();
+                let resumed = execute_plan_checkpointed_traced_any(
+                    &model,
+                    &data,
+                    &golden,
+                    &plan,
+                    CampaignSpace::Weight(&space),
+                    seed,
+                    &resume_cfg,
+                    &Ieee754Corruption,
+                    &checkpoint,
+                    None,
+                    Probe::disabled(),
+                    &mut |_| {},
+                )
+                .unwrap();
                 match resumed {
                     CampaignRun::Complete { outcome, stats } => {
                         prop_assert!(

@@ -22,8 +22,19 @@ fn full_pipeline_layer_wise() {
     let space = FaultSpace::stuck_at(&model);
     let spec = SampleSpec { error_margin: 0.08, ..SampleSpec::paper_default() };
     let plan = plan_layer_wise(&space, &spec);
-    let outcome =
-        execute_plan(&model, &data, &golden, &plan, 3, &CampaignConfig::default()).unwrap();
+    let outcome = execute_plan_traced_any(
+        &model,
+        &data,
+        &golden,
+        &plan,
+        CampaignSpace::Weight(&space),
+        3,
+        &CampaignConfig::default(),
+        &Ieee754Corruption,
+        Probe::disabled(),
+        &mut |_| {},
+    )
+    .unwrap();
     assert_eq!(outcome.injections(), plan.total_sample());
     let est = outcome.network_estimate(Confidence::C99).unwrap();
     assert!((0.0..=1.0).contains(&est.proportion));
@@ -56,13 +67,26 @@ fn statistical_estimate_brackets_exhaustive_on_one_layer() {
     // Exhaustive truth for layer 4 (the 4->4 conv, 144 weights).
     let sub = space.layer_subpopulation(4).unwrap();
     let faults: Vec<Fault> = sub.iter().collect();
-    let exhaustive = run_campaign(&model, &data, &golden, &faults, &cfg).unwrap();
+    let exhaustive =
+        run_campaign(&model, &data, &golden, &faults, &cfg, &Ieee754Corruption).unwrap();
     let truth_rate = exhaustive.critical_rate();
 
     // Statistical estimate at e = 4%.
     let spec = SampleSpec { error_margin: 0.04, ..SampleSpec::paper_default() };
     let plan = plan_layer_wise(&space, &spec).restricted_to_layer(4, &space);
-    let outcome = execute_plan(&model, &data, &golden, &plan, 21, &cfg).unwrap();
+    let outcome = execute_plan_traced_any(
+        &model,
+        &data,
+        &golden,
+        &plan,
+        CampaignSpace::Weight(&space),
+        21,
+        &cfg,
+        &Ieee754Corruption,
+        Probe::disabled(),
+        &mut |_| {},
+    )
+    .unwrap();
     let est = outcome.layer_estimate(4, Confidence::C99).unwrap();
     assert!(
         (est.proportion - truth_rate).abs() <= est.error_margin.max(0.04) + 1e-9,
@@ -95,7 +119,15 @@ fn masked_faults_never_critical() {
             Fault { site: FaultSite { layer: 0, weight: i, bit }, model: model_kind }
         })
         .collect();
-    let res = run_campaign(&model, &data, &golden, &faults, &CampaignConfig::default()).unwrap();
+    let res = run_campaign(
+        &model,
+        &data,
+        &golden,
+        &faults,
+        &CampaignConfig::default(),
+        &Ieee754Corruption,
+    )
+    .unwrap();
     assert_eq!(res.masked(), 32);
     assert_eq!(res.critical(), 0);
 }
@@ -113,7 +145,15 @@ fn bit_flip_campaign_differs_from_stuck_at() {
             model: FaultModel::BitFlip,
         })
         .collect();
-    let res = run_campaign(&model, &data, &golden, &faults, &CampaignConfig::default()).unwrap();
+    let res = run_campaign(
+        &model,
+        &data,
+        &golden,
+        &faults,
+        &CampaignConfig::default(),
+        &Ieee754Corruption,
+    )
+    .unwrap();
     assert_eq!(res.masked(), 0);
     assert_eq!(res.injections, 32);
 }
@@ -129,7 +169,15 @@ fn mobilenet_micro_pipeline() {
     // Sample a handful of faults from the depthwise layer of block 0.
     let sub = space.layer_subpopulation(2).unwrap();
     let faults: Vec<Fault> = sub.iter().take(64).collect();
-    let res = run_campaign(&model, &data, &golden, &faults, &CampaignConfig::default()).unwrap();
+    let res = run_campaign(
+        &model,
+        &data,
+        &golden,
+        &faults,
+        &CampaignConfig::default(),
+        &Ieee754Corruption,
+    )
+    .unwrap();
     assert_eq!(res.injections, 64);
 }
 
@@ -146,8 +194,19 @@ fn vgg_pipeline_cross_architecture() {
     assert_eq!(space.layers(), 3, "2 convs + classifier");
     let spec = SampleSpec { error_margin: 0.08, ..SampleSpec::paper_default() };
     let plan = plan_layer_wise(&space, &spec);
-    let outcome =
-        execute_plan(&model, &data, &golden, &plan, 4, &CampaignConfig::default()).unwrap();
+    let outcome = execute_plan_traced_any(
+        &model,
+        &data,
+        &golden,
+        &plan,
+        CampaignSpace::Weight(&space),
+        4,
+        &CampaignConfig::default(),
+        &Ieee754Corruption,
+        Probe::disabled(),
+        &mut |_| {},
+    )
+    .unwrap();
     for l in 0..3 {
         let est = outcome.layer_estimate(l, Confidence::C99).unwrap();
         assert!((0.0..=1.0).contains(&est.proportion));
@@ -177,8 +236,32 @@ fn seeds_change_samples_but_not_plans() {
     let plan_b = plan_layer_wise(&space, &spec);
     assert_eq!(plan_a, plan_b, "planning is deterministic");
     let cfg = CampaignConfig::default();
-    let o1 = execute_plan(&model, &data, &golden, &plan_a, 1, &cfg).unwrap();
-    let o2 = execute_plan(&model, &data, &golden, &plan_a, 2, &cfg).unwrap();
+    let o1 = execute_plan_traced_any(
+        &model,
+        &data,
+        &golden,
+        &plan_a,
+        CampaignSpace::Weight(&space),
+        1,
+        &cfg,
+        &Ieee754Corruption,
+        Probe::disabled(),
+        &mut |_| {},
+    )
+    .unwrap();
+    let o2 = execute_plan_traced_any(
+        &model,
+        &data,
+        &golden,
+        &plan_a,
+        CampaignSpace::Weight(&space),
+        2,
+        &cfg,
+        &Ieee754Corruption,
+        Probe::disabled(),
+        &mut |_| {},
+    )
+    .unwrap();
     assert_eq!(o1.injections(), o2.injections(), "same plan, same cost");
 }
 
@@ -199,8 +282,19 @@ fn neyman_plan_meets_the_network_margin_cheaply() {
     let aware =
         plan_data_aware(&space, &analysis, &spec, &DataAwareConfig::paper_default()).unwrap();
     assert!(neyman.total_sample() < aware.total_sample());
-    let outcome =
-        execute_plan(&model, &data, &golden, &neyman, 8, &CampaignConfig::default()).unwrap();
+    let outcome = execute_plan_traced_any(
+        &model,
+        &data,
+        &golden,
+        &neyman,
+        CampaignSpace::Weight(&space),
+        8,
+        &CampaignConfig::default(),
+        &Ieee754Corruption,
+        Probe::disabled(),
+        &mut |_| {},
+    )
+    .unwrap();
     let est = outcome.network_estimate(Confidence::C99).unwrap();
     assert!(
         est.error_margin <= 0.01 + 1e-6,

@@ -20,7 +20,7 @@ use fixtures::{
     random_transient_faults,
 };
 use sfi::cli::parse;
-use sfi::faultsim::campaign::{run_any_campaign, CampaignResult};
+use sfi::faultsim::campaign::CampaignResult;
 use sfi::prelude::*;
 use sfi_faultsim::fault::{FaultModel, FaultSite};
 use sfi_faultsim::multi::CampaignFault;
@@ -101,7 +101,7 @@ fn every_engine_fires_on_the_tier_it_owns() {
     for &layer in &batched_layers {
         faults.extend(weight_faults(layer, 12, 2).into_iter().map(CampaignFault::Weight));
     }
-    let weights = run_any_campaign(&model, &data, &golden, &faults, &cfg).unwrap();
+    let weights = run_campaign(&model, &data, &golden, &faults, &cfg, &Ieee754Corruption).unwrap();
     assert_engine_accounting(&weights, "weight tier");
     assert!(
         weights.engine_batched >= mantissa,
@@ -118,7 +118,8 @@ fn every_engine_fires_on_the_tier_it_owns() {
     let acts = activation_space(&model, &data);
     let transient: Vec<CampaignFault> =
         random_transient_faults(&acts, 11, 8).into_iter().map(CampaignFault::Activation).collect();
-    let transients = run_any_campaign(&model, &data, &golden, &transient, &cfg).unwrap();
+    let transients =
+        run_campaign(&model, &data, &golden, &transient, &cfg, &Ieee754Corruption).unwrap();
     assert_engine_accounting(&transients, "transient tier");
     assert!(
         transients.engine_delta > 0,
@@ -135,7 +136,7 @@ fn every_engine_fires_on_the_tier_it_owns() {
         .into_iter()
         .map(CampaignFault::Accumulated)
         .collect();
-    let acc = run_any_campaign(&model, &data, &golden, &accumulated, &cfg).unwrap();
+    let acc = run_campaign(&model, &data, &golden, &accumulated, &cfg, &Ieee754Corruption).unwrap();
     assert_engine_accounting(&acc, "accumulated tier");
     assert!(
         acc.engine_dense > 0,
@@ -165,9 +166,17 @@ fn full_scale_mantissa_weight_faults_never_take_delta() {
             })
         })
         .collect();
-    let on = run_campaign(&model, &data, &golden, &faults, &CampaignConfig::default()).unwrap();
+    let on = run_campaign(
+        &model,
+        &data,
+        &golden,
+        &faults,
+        &CampaignConfig::default(),
+        &Ieee754Corruption,
+    )
+    .unwrap();
     let off = CampaignConfig { delta: false, ..CampaignConfig::default() };
-    let off = run_campaign(&model, &data, &golden, &faults, &off).unwrap();
+    let off = run_campaign(&model, &data, &golden, &faults, &off, &Ieee754Corruption).unwrap();
     assert_engine_accounting(&on, "delta on");
     assert_eq!(
         on.engine_delta, 0,
@@ -203,6 +212,7 @@ fn cli_engine_flag_matrix_composes() {
             batched: false,
             ..CampaignConfig::default()
         },
+        &Ieee754Corruption,
     )
     .unwrap();
 
@@ -231,7 +241,7 @@ fn cli_engine_flag_matrix_composes() {
                     batched: opts.batched,
                     ..CampaignConfig::default()
                 };
-                let res = run_campaign(&model, &data, &golden, &faults, &cfg)
+                let res = run_campaign(&model, &data, &golden, &faults, &cfg, &Ieee754Corruption)
                     .unwrap_or_else(|e| panic!("`sfi {line}` must fall back cleanly: {e:?}"));
                 assert_eq!(res.classes, reference.classes, "`sfi {line}` changed classifications");
                 assert_eq!(

@@ -32,7 +32,14 @@ fn campaign_on_mismatched_golden_reference_errors_cleanly() {
         .unwrap();
     let fault =
         Fault { site: FaultSite { layer: 0, weight: 0, bit: 30 }, model: FaultModel::StuckAt1 };
-    let res = run_campaign(&other, &data, &golden, &[fault], &CampaignConfig::default());
+    let res = run_campaign(
+        &other,
+        &data,
+        &golden,
+        &[fault],
+        &CampaignConfig::default(),
+        &Ieee754Corruption,
+    );
     assert!(res.is_err(), "foreign cache must be rejected");
 }
 
@@ -46,7 +53,15 @@ fn fault_beyond_model_bounds_is_rejected_mid_campaign() {
         Fault { site: FaultSite { layer: 99, weight: 0, bit: 0 }, model: FaultModel::BitFlip },
     ];
     let before = model.store().clone();
-    assert!(run_campaign(&model, &data, &golden, &faults, &CampaignConfig::default()).is_err());
+    assert!(run_campaign(
+        &model,
+        &data,
+        &golden,
+        &faults,
+        &CampaignConfig::default(),
+        &Ieee754Corruption
+    )
+    .is_err());
     // The input model is never mutated, even on failure.
     assert_eq!(*model.store(), before);
 }
@@ -61,8 +76,19 @@ fn plan_for_different_topology_is_rejected_before_injection() {
         &FaultSpace::stuck_at(&bigger),
         &SampleSpec { error_margin: 0.2, ..SampleSpec::paper_default() },
     );
-    let err =
-        execute_plan(&model, &data, &golden, &plan, 0, &CampaignConfig::default()).unwrap_err();
+    let err = execute_plan_traced_any(
+        &model,
+        &data,
+        &golden,
+        &plan,
+        CampaignSpace::Weight(&FaultSpace::stuck_at(&model)),
+        0,
+        &CampaignConfig::default(),
+        &Ieee754Corruption,
+        Probe::disabled(),
+        &mut |_| {},
+    )
+    .unwrap_err();
     assert!(err.to_string().contains("plan mismatch"), "{err}");
 }
 
@@ -101,7 +127,15 @@ fn empty_dataset_is_rejected_everywhere() {
     assert!(GoldenReference::build(&model, &empty).is_err());
     let data = SynthCifarConfig::new().with_size(8).with_samples(1).generate();
     let golden = GoldenReference::build(&model, &data).unwrap();
-    assert!(run_campaign(&model, &empty, &golden, &[], &CampaignConfig::default()).is_err());
+    assert!(run_campaign(
+        &model,
+        &empty,
+        &golden,
+        &[] as &[Fault],
+        &CampaignConfig::default(),
+        &Ieee754Corruption
+    )
+    .is_err());
 }
 
 #[test]
@@ -126,8 +160,19 @@ fn errors_chain_their_sources() {
         &FaultSpace::stuck_at(&bigger),
         &SampleSpec { error_margin: 0.2, ..SampleSpec::paper_default() },
     );
-    let err =
-        execute_plan(&model, &data, &golden, &plan, 0, &CampaignConfig::default()).unwrap_err();
+    let err = execute_plan_traced_any(
+        &model,
+        &data,
+        &golden,
+        &plan,
+        CampaignSpace::Weight(&FaultSpace::stuck_at(&model)),
+        0,
+        &CampaignConfig::default(),
+        &Ieee754Corruption,
+        Probe::disabled(),
+        &mut |_| {},
+    )
+    .unwrap_err();
     // Either a self-contained message or a chained source — never a bare
     // unprintable error.
     assert!(!err.to_string().is_empty());
@@ -168,7 +213,19 @@ fn interrupted_journal(tag: &str) -> JournalFixture {
     let spec = SampleSpec { error_margin: 0.2, ..SampleSpec::paper_default() };
     let plan = plan_layer_wise(&space, &spec);
     let cfg = CampaignConfig::default();
-    let clean = execute_plan(&model, &data, &golden, &plan, JOURNAL_SEED, &cfg).unwrap();
+    let clean = execute_plan_traced_any(
+        &model,
+        &data,
+        &golden,
+        &plan,
+        CampaignSpace::Weight(&space),
+        JOURNAL_SEED,
+        &cfg,
+        &Ieee754Corruption,
+        Probe::disabled(),
+        &mut |_| {},
+    )
+    .unwrap();
 
     let dir =
         std::env::temp_dir().join(format!("sfi-journal-corruption-{tag}-{}", std::process::id()));
@@ -178,17 +235,18 @@ fn interrupted_journal(tag: &str) -> JournalFixture {
     let token = CancelToken::new();
     // One worker: inline execution stops deterministically at the next
     // fault boundary, so the run is always interrupted (never complete).
-    let run = execute_plan_checkpointed(
+    let run = execute_plan_checkpointed_traced_any(
         &model,
         &data,
         &golden,
         &plan,
-        &space,
+        CampaignSpace::Weight(&space),
         JOURNAL_SEED,
         &cfg,
         &Ieee754Corruption,
         &CheckpointConfig::new(&dir),
         Some(&token),
+        Probe::disabled(),
         &mut |p| {
             if p.plan_completed >= stop_at {
                 token.cancel();
@@ -216,17 +274,18 @@ fn journal_segments(dir: &Path) -> Vec<PathBuf> {
 
 fn resume_journal(fx: &JournalFixture) -> (SfiOutcome, ResumeStats) {
     let checkpoint = CheckpointConfig { dir: fx.dir.clone(), resume: true, checkpoint_every: 64 };
-    let run = execute_plan_checkpointed(
+    let run = execute_plan_checkpointed_traced_any(
         &fx.model,
         &fx.data,
         &fx.golden,
         &fx.plan,
-        &fx.space,
+        CampaignSpace::Weight(&fx.space),
         JOURNAL_SEED,
         &CampaignConfig::default(),
         &Ieee754Corruption,
         &checkpoint,
         None,
+        Probe::disabled(),
         &mut |_| {},
     )
     .unwrap();
@@ -314,8 +373,17 @@ fn adaptive_sampler_rejects_impossible_margins_gracefully() {
     // Margin so tight the tiny population cannot reach it by sampling: the
     // sampler runs to a census and reports convergence-by-exhaustion.
     let cfg = AdaptiveConfig { target_margin: 1e-12, ..AdaptiveConfig::new(0.01) };
-    let out =
-        run_adaptive(&model, &data, &golden, &subpop, &cfg, 1, &CampaignConfig::default()).unwrap();
+    let out = run_adaptive(
+        &model,
+        &data,
+        &golden,
+        &subpop,
+        &cfg,
+        1,
+        &CampaignConfig::default(),
+        &Ieee754Corruption,
+    )
+    .unwrap();
     assert_eq!(out.result.sample, subpop.size());
     assert!(out.converged);
 }

@@ -8,11 +8,15 @@
 //! event the campaign emits is parsed back by the summarizer with the
 //! same per-stratum counts the outcome reports.
 
+#[path = "common/fixtures.rs"]
+mod fixtures;
+
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use fixtures::{fingerprint, unique_tmp_dir};
 use proptest::prelude::*;
-use sfi::core::execute::execute_plan_traced;
+use sfi::core::checkpoint::{CampaignRun, CheckpointConfig};
 use sfi::faultsim::campaign::Ieee754Corruption;
 use sfi::obs::{summary, Probe, TraceLevel};
 use sfi::prelude::*;
@@ -35,24 +39,6 @@ fn setup() -> (Model, Dataset, GoldenReference, FaultSpace, SfiPlan) {
     (model, data, golden, space, plan)
 }
 
-/// Everything of an [`SfiOutcome`] except wall-clock durations.
-fn fingerprint(outcome: &SfiOutcome) -> impl PartialEq + std::fmt::Debug {
-    (
-        outcome.scheme(),
-        outcome.strata().to_vec(),
-        outcome
-            .stratum_telemetry()
-            .iter()
-            .map(|t| {
-                (t.injections, t.inferences, t.masked, t.critical, t.non_critical, t.exec_failures)
-            })
-            .collect::<Vec<_>>(),
-        outcome.layer_tallies().to_vec(),
-        outcome.injections(),
-        outcome.inferences(),
-    )
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
@@ -66,15 +52,27 @@ proptest! {
             workers: WORKERS[worker_idx],
             ..CampaignConfig::default()
         };
-        let plain = execute_plan(&model, &data, &golden, &plan, seed, &cfg).unwrap();
-        let path = trace_path("readonly");
-        let probe = Probe::new(TraceLevel::Events, Some(&path)).unwrap();
-        let traced = execute_plan_traced(
+        let plain = execute_plan_traced_any(
             &model,
             &data,
             &golden,
             &plan,
-            &space,
+            CampaignSpace::Weight(&space),
+            seed,
+            &cfg,
+            &Ieee754Corruption,
+            Probe::disabled(),
+            &mut |_| {},
+        )
+        .unwrap();
+        let path = trace_path("readonly");
+        let probe = Probe::new(TraceLevel::Events, Some(&path)).unwrap();
+        let traced = execute_plan_traced_any(
+            &model,
+            &data,
+            &golden,
+            &plan,
+            CampaignSpace::Weight(&space),
             seed,
             &cfg,
             &Ieee754Corruption,
@@ -98,12 +96,12 @@ fn jsonl_stream_round_trips_through_the_summarizer() {
     let cfg = CampaignConfig { workers: 4, ..CampaignConfig::default() };
     let path = trace_path("roundtrip");
     let probe = Probe::new(TraceLevel::Events, Some(&path)).unwrap();
-    let outcome = execute_plan_traced(
+    let outcome = execute_plan_traced_any(
         &model,
         &data,
         &golden,
         &plan,
-        &space,
+        CampaignSpace::Weight(&space),
         9,
         &cfg,
         &Ieee754Corruption,
@@ -145,15 +143,27 @@ fn jsonl_stream_round_trips_through_the_summarizer() {
 fn spans_level_skips_fault_events_but_keeps_strata() {
     let (model, data, golden, space, plan) = setup();
     let cfg = CampaignConfig::default();
-    let plain = execute_plan(&model, &data, &golden, &plan, 3, &cfg).unwrap();
-    let path = trace_path("spans");
-    let probe = Probe::new(TraceLevel::Spans, Some(&path)).unwrap();
-    let traced = execute_plan_traced(
+    let plain = execute_plan_traced_any(
         &model,
         &data,
         &golden,
         &plan,
-        &space,
+        CampaignSpace::Weight(&space),
+        3,
+        &cfg,
+        &Ieee754Corruption,
+        Probe::disabled(),
+        &mut |_| {},
+    )
+    .unwrap();
+    let path = trace_path("spans");
+    let probe = Probe::new(TraceLevel::Spans, Some(&path)).unwrap();
+    let traced = execute_plan_traced_any(
+        &model,
+        &data,
+        &golden,
+        &plan,
+        CampaignSpace::Weight(&space),
         3,
         &cfg,
         &Ieee754Corruption,
@@ -167,4 +177,74 @@ fn spans_level_skips_fault_events_but_keeps_strata() {
     assert_eq!(trace.fault_events, 0, "per-fault events require the events level");
     assert_eq!(trace.strata.len(), plain.strata().len());
     std::fs::remove_file(&path).ok();
+}
+
+/// The `ev` kind of every line of a JSONL trace, in stream order.
+fn event_kinds(text: &str) -> Vec<String> {
+    text.lines()
+        .map(|line| {
+            let rest = &line[line.find("\"ev\":\"").expect("every event has a kind") + 6..];
+            rest[..rest.find('"').unwrap()].to_string()
+        })
+        .collect()
+}
+
+/// A fresh checkpointed run drives its strata through the same code as the
+/// plain run, so at `events` level both emit the same event-kind sequence —
+/// `plan_compiled` included — apart from the checkpoint-only `resume` and
+/// `interrupted` events, and `sfi trace report` can show the compiled-plan
+/// summary for either.
+#[test]
+fn checkpointed_and_plain_runs_emit_the_same_event_kinds() {
+    let (model, data, golden, space, plan) = setup();
+    let cfg = CampaignConfig { workers: 4, ..CampaignConfig::default() };
+    let plain_path = trace_path("kinds-plain");
+    let probe = Probe::new(TraceLevel::Events, Some(&plain_path)).unwrap();
+    execute_plan_traced_any(
+        &model,
+        &data,
+        &golden,
+        &plan,
+        CampaignSpace::Weight(&space),
+        21,
+        &cfg,
+        &Ieee754Corruption,
+        &probe,
+        &mut |_| {},
+    )
+    .unwrap();
+    probe.finish().unwrap();
+    let ckpt_path = trace_path("kinds-checkpointed");
+    let dir = unique_tmp_dir("observability-kinds");
+    let probe = Probe::new(TraceLevel::Events, Some(&ckpt_path)).unwrap();
+    let run = execute_plan_checkpointed_traced_any(
+        &model,
+        &data,
+        &golden,
+        &plan,
+        CampaignSpace::Weight(&space),
+        21,
+        &cfg,
+        &Ieee754Corruption,
+        &CheckpointConfig::new(&dir),
+        None,
+        &probe,
+        &mut |_| {},
+    )
+    .unwrap();
+    probe.finish().unwrap();
+    assert!(matches!(run, CampaignRun::Complete { .. }));
+    let plain_text = std::fs::read_to_string(&plain_path).unwrap();
+    let ckpt_text = std::fs::read_to_string(&ckpt_path).unwrap();
+    let ckpt_kinds: Vec<String> = event_kinds(&ckpt_text)
+        .into_iter()
+        .filter(|k| k != "resume" && k != "interrupted")
+        .collect();
+    assert_eq!(ckpt_kinds, event_kinds(&plain_text));
+    assert!(ckpt_kinds.iter().any(|k| k == "plan_compiled"));
+    let trace = summary::summarize(&ckpt_text).unwrap();
+    assert!(trace.plan.is_some(), "the checkpointed trace carries the compiled-plan summary");
+    std::fs::remove_file(&plain_path).ok();
+    std::fs::remove_file(&ckpt_path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }

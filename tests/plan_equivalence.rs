@@ -18,7 +18,6 @@ use fixtures::{
     random_small_model, random_transient_faults,
 };
 use proptest::prelude::*;
-use sfi::faultsim::campaign::run_any_campaign;
 use sfi::prelude::*;
 use sfi_nn::{BatchedOutcome, Model, NodeOp};
 use sfi_nn::{CompiledPlan, ForwardOptions, ForwardOutcome, ParamKind};
@@ -266,7 +265,15 @@ proptest! {
             batched: false,
             ..Default::default()
         };
-        let reference = run_campaign(&model, &data, &golden, &faults, &base).unwrap();
+        let reference = run_campaign(
+            &model,
+            &data,
+            &golden,
+            &faults,
+            &base,
+            &Ieee754Corruption,
+        )
+        .unwrap();
         for workers in [1usize, 4, 8] {
             for (convergence, delta) in [(false, false), (true, false), (true, true)] {
                 for batched in [false, true] {
@@ -277,7 +284,15 @@ proptest! {
                         batched,
                         ..Default::default()
                     };
-                    let res = run_campaign(&model, &data, &golden, &faults, &cfg).unwrap();
+                    let res = run_campaign(
+                        &model,
+                        &data,
+                        &golden,
+                        &faults,
+                        &cfg,
+                        &Ieee754Corruption,
+                    )
+                    .unwrap();
                     prop_assert_eq!(
                         &res.classes, &reference.classes,
                         "workers={} convergence={} delta={} batched={}",
@@ -317,10 +332,26 @@ proptest! {
                 .collect();
         for (name, generic) in [("transient", transient), ("accumulated", accumulated)] {
             let base = CampaignConfig { workers: 1, batched: false, ..Default::default() };
-            let reference = run_any_campaign(&model, &data, &golden, &generic, &base).unwrap();
+            let reference = run_campaign(
+                &model,
+                &data,
+                &golden,
+                &generic,
+                &base,
+                &Ieee754Corruption,
+            )
+            .unwrap();
             for workers in [1usize, 4, 8] {
                 let cfg = CampaignConfig { workers, batched: true, ..Default::default() };
-                let res = run_any_campaign(&model, &data, &golden, &generic, &cfg).unwrap();
+                let res = run_campaign(
+                    &model,
+                    &data,
+                    &golden,
+                    &generic,
+                    &cfg,
+                    &Ieee754Corruption,
+                )
+                .unwrap();
                 prop_assert_eq!(
                     &res.classes, &reference.classes,
                     "{} workers={}", name, workers

@@ -7,14 +7,15 @@
 //! exhaustively), which preserves the full per-bit stratification that
 //! distinguishes the data-aware scheme.
 
-use sfi_core::execute::execute_plan;
+use sfi_core::execute::{execute_plan_traced_any, CampaignSpace};
 use sfi_core::exhaustive::exhaustive_layer;
 use sfi_core::plan::plan_data_aware;
 use sfi_dataset::SynthCifarConfig;
-use sfi_faultsim::campaign::{run_campaign, CampaignConfig};
+use sfi_faultsim::campaign::{run_campaign, CampaignConfig, Ieee754Corruption};
 use sfi_faultsim::golden::GoldenReference;
 use sfi_faultsim::population::FaultSpace;
 use sfi_nn::resnet::ResNetConfig;
+use sfi_obs::Probe;
 use sfi_stats::bit_analysis::{DataAwareConfig, WeightBitAnalysis};
 use sfi_stats::confidence::Confidence;
 use sfi_stats::estimate::stratified_estimate;
@@ -73,7 +74,19 @@ fn data_aware_estimate_brackets_exhaustive_rate() {
         "the statistical campaign must inject fewer faults than exhaustive"
     );
 
-    let outcome = execute_plan(&f.model, &f.data, &f.golden, &plan, PLAN_SEED, &cfg).unwrap();
+    let outcome = execute_plan_traced_any(
+        &f.model,
+        &f.data,
+        &f.golden,
+        &plan,
+        CampaignSpace::Weight(&FaultSpace::stuck_at(&f.model)),
+        PLAN_SEED,
+        &cfg,
+        &Ieee754Corruption,
+        Probe::disabled(),
+        &mut |_| {},
+    )
+    .unwrap();
     let est = outcome.layer_estimate(LAYER, Confidence::C99).expect("layer estimated");
     let rate = truth.proportion();
     assert!(
@@ -96,7 +109,19 @@ fn per_stratum_estimates_bracket_exhaustive_bit_rates() {
     let plan = plan_data_aware(&f.space, &analysis, &spec, &scaled_data_aware())
         .unwrap()
         .restricted_to_layer(LAYER, &f.space);
-    let outcome = execute_plan(&f.model, &f.data, &f.golden, &plan, PLAN_SEED, &cfg).unwrap();
+    let outcome = execute_plan_traced_any(
+        &f.model,
+        &f.data,
+        &f.golden,
+        &plan,
+        CampaignSpace::Weight(&FaultSpace::stuck_at(&f.model)),
+        PLAN_SEED,
+        &cfg,
+        &Ieee754Corruption,
+        Probe::disabled(),
+        &mut |_| {},
+    )
+    .unwrap();
 
     let mut non_degenerate = 0usize;
     let mut misses = 0usize;
@@ -105,7 +130,8 @@ fn per_stratum_estimates_bracket_exhaustive_bit_rates() {
         // Exhaustive ground truth for this bit subpopulation.
         let sub = f.space.bit_subpopulation(LAYER, bit).unwrap();
         let faults: Vec<_> = sub.iter().collect();
-        let exact = run_campaign(&f.model, &f.data, &f.golden, &faults, &cfg).unwrap();
+        let exact =
+            run_campaign(&f.model, &f.data, &f.golden, &faults, &cfg, &Ieee754Corruption).unwrap();
         let exact_rate = exact.critical_rate();
         // Degenerate strata (all or nothing observed) have a collapsed
         // Wald margin that asserts nothing; the paper's full-scale samples
@@ -136,22 +162,30 @@ fn validity_holds_identically_under_parallel_execution() {
     let plan = plan_data_aware(&f.space, &analysis, &spec, &scaled_data_aware())
         .unwrap()
         .restricted_to_layer(LAYER, &f.space);
-    let serial = execute_plan(
+    let serial = execute_plan_traced_any(
         &f.model,
         &f.data,
         &f.golden,
         &plan,
+        CampaignSpace::Weight(&FaultSpace::stuck_at(&f.model)),
         PLAN_SEED,
         &CampaignConfig { workers: 1, ..CampaignConfig::default() },
+        &Ieee754Corruption,
+        Probe::disabled(),
+        &mut |_| {},
     )
     .unwrap();
-    let parallel = execute_plan(
+    let parallel = execute_plan_traced_any(
         &f.model,
         &f.data,
         &f.golden,
         &plan,
+        CampaignSpace::Weight(&FaultSpace::stuck_at(&f.model)),
         PLAN_SEED,
         &CampaignConfig { workers: 4, ..CampaignConfig::default() },
+        &Ieee754Corruption,
+        Probe::disabled(),
+        &mut |_| {},
     )
     .unwrap();
     assert_eq!(serial.strata(), parallel.strata());
