@@ -827,6 +827,81 @@ impl FaultOutcome {
     }
 }
 
+/// The per-image verdict loop every engine replays, in ascending image
+/// order: each image costs one inference, a converged image never
+/// mismatches, empty logits stop the loop as
+/// [`FaultClass::ExecutionFailure`], and with early exit the loop stops
+/// once the mismatches reach the critical cutoff.
+struct VerdictTally<'a> {
+    golden: &'a GoldenReference,
+    needed_for_critical: usize,
+    early_exit: bool,
+    inferences: u64,
+    converged_images: u64,
+    nodes_skipped: u64,
+    mismatches: usize,
+    failed: bool,
+}
+
+impl<'a> VerdictTally<'a> {
+    fn new(golden: &'a GoldenReference, needed_for_critical: usize, cfg: &CampaignConfig) -> Self {
+        Self {
+            golden,
+            needed_for_critical,
+            early_exit: cfg.early_exit,
+            inferences: 0,
+            converged_images: 0,
+            nodes_skipped: 0,
+            mismatches: 0,
+            failed: false,
+        }
+    }
+
+    /// Counts image `idx`'s inference with top-1 prediction `pred` (`None`
+    /// for empty logits); `true` when the loop must stop.
+    fn record(&mut self, idx: usize, pred: Option<usize>) -> bool {
+        self.inferences += 1;
+        let Some(pred) = pred else {
+            self.failed = true;
+            return true;
+        };
+        if pred != self.golden.prediction(idx) {
+            self.mismatches += 1;
+            return self.early_exit && self.mismatches >= self.needed_for_critical;
+        }
+        false
+    }
+
+    /// Counts an image whose pass went bitwise-golden at `at_node` (its
+    /// prediction provably equals the golden one): one inference, never a
+    /// mismatch. Returns the nodes its early exit skipped.
+    fn converged(&mut self, at_node: NodeId, total_nodes: usize) -> u64 {
+        let skipped = (total_nodes - 1 - at_node) as u64;
+        self.inferences += 1;
+        self.converged_images += 1;
+        self.nodes_skipped += skipped;
+        skipped
+    }
+
+    /// The fault's outcome, with no engine counted yet.
+    fn outcome(&self) -> FaultOutcome {
+        let class = if self.failed {
+            FaultClass::ExecutionFailure
+        } else if self.mismatches >= self.needed_for_critical {
+            FaultClass::Critical
+        } else {
+            FaultClass::NonCritical
+        };
+        FaultOutcome {
+            class,
+            inferences: self.inferences,
+            converged_images: self.converged_images,
+            nodes_skipped: self.nodes_skipped,
+            ..FaultOutcome::masked()
+        }
+    }
+}
+
 /// Injects one fault, classifies it against the golden reference, and
 /// reverts, returning the class and the number of inferences spent.
 ///
@@ -893,7 +968,7 @@ pub(crate) fn classify_one<C: Corruption>(
     if cfg.batched
         && cfg.incremental
         && fast
-        && golden.has_batched()
+        && golden.has_lowering()
         && golden.plan().batched_profitable(injection.dirty_node, hedge)
     {
         let res = classify_weight_batched(
@@ -911,11 +986,7 @@ pub(crate) fn classify_one<C: Corruption>(
     }
     let arena = &mut session.arena;
     let total_nodes = model.nodes().len();
-    let mut inferences = 0u64;
-    let mut converged_images = 0u64;
-    let mut nodes_skipped = 0u64;
-    let mut mismatches = 0usize;
-    let mut failed = false;
+    let mut tally = VerdictTally::new(golden, needed_for_critical, cfg);
     let mut outcome: Result<(), FaultSimError> = Ok(());
     for idx in 0..data.len() {
         let timer = wprobe.inference_start();
@@ -941,10 +1012,7 @@ pub(crate) fn classify_one<C: Corruption>(
                             // golden one: count the inference, never the
                             // mismatch, and move to the next image.
                             wprobe.inference_end(timer);
-                            inferences += 1;
-                            converged_images += 1;
-                            let skipped = (total_nodes - 1 - at_node) as u64;
-                            nodes_skipped += skipped;
+                            let skipped = tally.converged(at_node, total_nodes);
                             wprobe.record_convergence(at_node + 1 - injection.dirty_node, skipped);
                             continue;
                         }
@@ -976,35 +1044,13 @@ pub(crate) fn classify_one<C: Corruption>(
             }
         };
         wprobe.inference_end(timer);
-        inferences += 1;
-        let Some(pred) = logits.argmax() else {
-            failed = true;
+        if tally.record(idx, logits.argmax()) {
             break;
-        };
-        if pred != golden.prediction(idx) {
-            mismatches += 1;
-            if cfg.early_exit && mismatches >= needed_for_critical {
-                break;
-            }
         }
     }
     revert(model, &injection);
     outcome?;
-    let class = if failed {
-        FaultClass::ExecutionFailure
-    } else if mismatches >= needed_for_critical {
-        FaultClass::Critical
-    } else {
-        FaultClass::NonCritical
-    };
-    Ok(FaultOutcome {
-        class,
-        inferences,
-        converged_images,
-        nodes_skipped,
-        engine_dense: 1,
-        ..FaultOutcome::masked()
-    })
+    Ok(FaultOutcome { engine_dense: 1, ..tally.outcome() })
 }
 
 /// Number of IEEE-754 single-precision mantissa bits: weight-fault bits
@@ -1040,11 +1086,10 @@ fn classify_weight_batched(
     wprobe: WorkerProbe<'_>,
 ) -> Result<FaultOutcome, FaultSimError> {
     let plan = golden.plan();
-    let bcache = golden.batched_cache().expect("caller checked has_batched");
     let images = golden.len();
     let total_nodes = model.nodes().len();
     let timer = wprobe.inference_start();
-    if session.ensure_panel(model, plan, bcache, dirty_node)? {
+    if session.ensure_panel(model, plan, golden.caches(), dirty_node)? {
         golden.record_panel_hit();
     } else {
         golden.record_panel_miss();
@@ -1053,112 +1098,47 @@ fn classify_weight_batched(
     let outcome = plan.forward_batched_from(
         model,
         dirty_node,
-        bcache,
+        golden.caches(),
         lowered,
         dirty_unit,
         cfg.convergence,
         arena,
     )?;
     wprobe.inference_end(timer);
-    let out = match outcome {
+    // Replay the per-image loop over the batched rows in ascending image
+    // order: identical mismatch accounting and early-exit break point.
+    let mut tally = VerdictTally::new(golden, needed_for_critical, cfg);
+    match outcome {
         BatchedOutcome::Converging { converged_at, logits, classes } => {
-            // Replay the per-image loop over the converging outcome in
-            // ascending image order: a converged image counts an inference
-            // and never a mismatch (exactly the per-image `Converged` arm),
-            // a survivor's logits row feeds the identical mismatch
-            // accounting and early-exit break point.
-            let mut inferences = 0u64;
-            let mut converged_images = 0u64;
-            let mut nodes_skipped = 0u64;
-            let mut mismatches = 0usize;
-            let mut failed = false;
+            // A converged image takes the per-image `Converged` arm; the
+            // survivors' rows follow in ascending image order.
             let mut cursor = 0usize;
             for (idx, conv) in converged_at.iter().enumerate().take(images) {
-                inferences += 1;
                 if let Some(at_node) = *conv {
-                    converged_images += 1;
-                    let skipped = (total_nodes - 1 - at_node) as u64;
-                    nodes_skipped += skipped;
+                    let skipped = tally.converged(at_node, total_nodes);
                     wprobe.record_convergence(at_node + 1 - dirty_node.max(1), skipped);
                     continue;
                 }
                 let row = &logits[cursor * classes..][..classes];
                 cursor += 1;
-                let Some(pred) = row_argmax(row) else {
-                    failed = true;
+                if tally.record(idx, row_argmax(row)) {
                     break;
-                };
-                if pred != golden.prediction(idx) {
-                    mismatches += 1;
-                    if cfg.early_exit && mismatches >= needed_for_critical {
-                        break;
-                    }
                 }
             }
-            let class = if failed {
-                FaultClass::ExecutionFailure
-            } else if mismatches >= needed_for_critical {
-                FaultClass::Critical
-            } else {
-                FaultClass::NonCritical
-            };
             arena.recycle(logits);
-            FaultOutcome {
-                class,
-                inferences,
-                converged_images,
-                nodes_skipped,
-                delta_sparse_nodes: 0,
-                delta_fallbacks: 0,
-                delta_dirty_blocks: 0,
-                engine_dense: 0,
-                engine_delta: 0,
-                engine_batched: 1,
-            }
         }
         BatchedOutcome::Logits(logits) => {
-            // Replay the per-image loop over the batched rows: identical
-            // mismatch accounting and early-exit break point.
             let classes = logits.len() / images;
             let rows = logits.as_slice();
-            let mut inferences = 0u64;
-            let mut mismatches = 0usize;
-            let mut failed = false;
             for idx in 0..images {
-                inferences += 1;
-                let Some(pred) = row_argmax(&rows[idx * classes..][..classes]) else {
-                    failed = true;
+                if tally.record(idx, row_argmax(&rows[idx * classes..][..classes])) {
                     break;
-                };
-                if pred != golden.prediction(idx) {
-                    mismatches += 1;
-                    if cfg.early_exit && mismatches >= needed_for_critical {
-                        break;
-                    }
                 }
             }
-            let class = if failed {
-                FaultClass::ExecutionFailure
-            } else if mismatches >= needed_for_critical {
-                FaultClass::Critical
-            } else {
-                FaultClass::NonCritical
-            };
             arena.recycle(logits.into_vec());
-            FaultOutcome {
-                class,
-                inferences,
-                converged_images: 0,
-                nodes_skipped: 0,
-                delta_sparse_nodes: 0,
-                delta_fallbacks: 0,
-                delta_dirty_blocks: 0,
-                engine_dense: 0,
-                engine_delta: 0,
-                engine_batched: 1,
-            }
         }
-    };
+    }
+    let out = FaultOutcome { engine_batched: 1, ..tally.outcome() };
     // The probe's inference counter mirrors the logical per-image count
     // (one batched pass evaluated `out.inferences` images); the first
     // entry above carried the whole pass's latency.
@@ -1396,9 +1376,7 @@ fn classify_accumulated<C: Corruption>(
         return Ok(FaultOutcome::masked());
     }
     let fast = cfg.kernel == KernelPolicy::Fast;
-    let mut inferences = 0u64;
-    let mut mismatches = 0usize;
-    let mut failed = false;
+    let mut tally = VerdictTally::new(golden, needed_for_critical, cfg);
     let mut outcome: Result<(), FaultSimError> = Ok(());
     for idx in 0..data.len() {
         let patches: Vec<ActPatch> = fault
@@ -1430,30 +1408,15 @@ fn classify_accumulated<C: Corruption>(
             }
         };
         wprobe.inference_end(timer);
-        inferences += 1;
-        let Some(pred) = logits.argmax() else {
-            failed = true;
+        if tally.record(idx, logits.argmax()) {
             break;
-        };
-        if pred != golden.prediction(idx) {
-            mismatches += 1;
-            if cfg.early_exit && mismatches >= needed_for_critical {
-                break;
-            }
         }
     }
     for inj in injections.iter().rev() {
         revert(model, inj);
     }
     outcome?;
-    let class = if failed {
-        FaultClass::ExecutionFailure
-    } else if mismatches >= needed_for_critical {
-        FaultClass::Critical
-    } else {
-        FaultClass::NonCritical
-    };
-    Ok(FaultOutcome { class, inferences, engine_dense: 1, ..FaultOutcome::masked() })
+    Ok(FaultOutcome { engine_dense: 1, ..tally.outcome() })
 }
 
 /// Pool worker: drain tasks until the session's senders are dropped, steal

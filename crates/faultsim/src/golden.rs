@@ -7,7 +7,6 @@ use std::sync::Arc;
 use sfi_dataset::Dataset;
 use sfi_nn::{ActivationCache, CompiledPlan, Model, NnError, NodeId, NodeOp};
 use sfi_tensor::ops::{self, LoweredConv};
-use sfi_tensor::Tensor;
 
 use crate::FaultSimError;
 
@@ -29,25 +28,16 @@ struct LoweringCache {
     misses: Arc<AtomicU64>,
 }
 
-/// Golden state of the **batched** eval-image forward: the activation cache
-/// of all E images stacked into one input. Shared read-only across workers
-/// (the executor clones the whole [`GoldenReference`] behind an `Arc`).
-/// Batched im2col panels are *not* prebuilt here — each worker lazily
-/// builds the panel of the conv it is currently faulting into its
-/// [`SessionState`](sfi_nn::plan::SessionState) single-slot cache, sharing
-/// it across the adjacent same-node faults of the depth-sorted stratum
-/// queue. That bounds panel memory to one panel per worker instead of
-/// every conv's panel for the whole campaign.
-#[derive(Debug, Clone)]
-struct BatchedGolden {
-    cache: ActivationCache,
-}
-
 /// Golden top-1 predictions plus per-image activation caches.
 ///
 /// Built once per `(model, evaluation set)` pair; campaign workers share it
 /// read-only. The caches enable incremental re-execution: a fault in weight
 /// layer `l` re-runs inference from `l`'s node, reusing the cached prefix.
+/// They are the only golden activation store: the batched eval-image
+/// engine ([`CompiledPlan::forward_batched_from`]) gathers the rows it
+/// reads from them, and each worker lowers the panel of the conv it is
+/// faulting into its own [`SessionState`](sfi_nn::plan::SessionState)
+/// single-slot cache.
 ///
 /// # Example
 ///
@@ -70,7 +60,6 @@ pub struct GoldenReference {
     caches: Vec<ActivationCache>,
     lowering: Option<LoweringCache>,
     plan: Arc<CompiledPlan>,
-    batched: Option<BatchedGolden>,
 }
 
 impl GoldenReference {
@@ -94,11 +83,14 @@ impl GoldenReference {
             caches.push(cache);
         }
         let plan = Arc::new(CompiledPlan::compile(model, &caches[0])?);
-        Ok(Self { predictions, caches, lowering: None, plan, batched: None })
+        Ok(Self { predictions, caches, lowering: None, plan })
     }
 
     /// Precomputes the im2col lowering of every lowerable conv node's golden
-    /// input, for every evaluation image.
+    /// input, for every evaluation image, then calibrates the plan's engine
+    /// dispatch against the per-image caches (switching
+    /// `batched_profitable` from a static flop threshold to measured costs
+    /// — see [`CompiledPlan::calibrate`]).
     ///
     /// Convolutions that dispatch to the depthwise kernel (which never
     /// lowers) are skipped. The cached panels are consumed by the campaign
@@ -109,7 +101,8 @@ impl GoldenReference {
     /// # Errors
     ///
     /// Returns [`FaultSimError::Nn`] when a conv node references a missing
-    /// weight parameter or its golden input fails to lower.
+    /// weight parameter, its golden input fails to lower, or a calibrated
+    /// step fails.
     pub fn with_lowering(mut self, model: &Model) -> Result<Self, FaultSimError> {
         let mut by_node: HashMap<NodeId, Vec<LoweredConv>> = HashMap::new();
         let mut bytes = 0usize;
@@ -143,34 +136,8 @@ impl GoldenReference {
             hits: Arc::new(AtomicU64::new(0)),
             misses: Arc::new(AtomicU64::new(0)),
         });
-        self.build_batched(model)?;
+        Arc::make_mut(&mut self.plan).calibrate(model, &self.caches)?;
         Ok(self)
-    }
-
-    /// Builds the batched golden state: stacks the E eval images into one
-    /// input, runs the fault-free model once over the stack, and measures
-    /// the plan's per-node engine calibration against the fresh caches
-    /// (switching `batched_profitable` from a static flop threshold to
-    /// measured costs — see
-    /// [`CompiledPlan::calibrate`]). The batched activations are
-    /// bit-identical, image by image, to the per-image caches (every
-    /// operator treats the batch dimension independently), so the batched
-    /// suffix engine classifies against the same golden bits.
-    fn build_batched(&mut self, model: &Model) -> Result<(), FaultSimError> {
-        let first = self.caches[0].get(0).expect("cache covers all nodes");
-        let per_image = first.len();
-        let mut dims = first.shape().dims().to_vec();
-        dims[0] = self.caches.len();
-        let mut stacked = Vec::with_capacity(per_image * self.caches.len());
-        for cache in &self.caches {
-            stacked.extend_from_slice(cache.get(0).expect("cache covers all nodes").as_slice());
-        }
-        let input = Tensor::from_vec(sfi_tensor::Shape::new(&dims), stacked)
-            .expect("stacked images match the input shape");
-        let cache = model.forward_cached(&input)?;
-        Arc::make_mut(&mut self.plan).calibrate(model, &self.caches[0], &cache)?;
-        self.batched = Some(BatchedGolden { cache });
-        Ok(())
     }
 
     /// Cached lowering of conv node `node`'s golden input for image `image`,
@@ -193,7 +160,9 @@ impl GoldenReference {
         }
     }
 
-    /// Whether the lowering cache was built.
+    /// Whether the lowering cache was built and the plan calibrated
+    /// ([`with_lowering`](Self::with_lowering)); the executor runs the
+    /// batched engine only then.
     pub fn has_lowering(&self) -> bool {
         self.lowering.is_some()
     }
@@ -204,15 +173,10 @@ impl GoldenReference {
         &self.plan
     }
 
-    /// Whether the batched golden state (stacked-image cache + batched
-    /// lowerings) was built; implies [`has_lowering`](Self::has_lowering).
-    pub fn has_batched(&self) -> bool {
-        self.batched.is_some()
-    }
-
-    /// The activation cache of the stacked eval images, when built.
-    pub fn batched_cache(&self) -> Option<&ActivationCache> {
-        self.batched.as_ref().map(|b| &b.cache)
+    /// The per-image activation caches of every eval image, in image
+    /// order: the golden rows the batched engine gathers from.
+    pub(crate) fn caches(&self) -> &[ActivationCache] {
+        &self.caches
     }
 
     /// Records one shared-panel reuse in the lowering-cache tallies: a
@@ -232,11 +196,13 @@ impl GoldenReference {
         }
     }
 
-    /// Heap bytes held by the batched golden state (0 when disabled).
-    /// Per-worker lazy panels are not included — they live in each
-    /// worker's arena-backed session slot, not in the shared reference.
+    /// Heap bytes of golden state held for the batched engine alone:
+    /// always 0, because the batched engine gathers its golden rows from
+    /// the per-image caches and holds no golden state of its own. Its
+    /// per-worker panels live in each worker's arena-backed session slot,
+    /// not in the shared reference.
     pub fn batched_bytes(&self) -> usize {
-        self.batched.as_ref().map_or(0, |b| b.cache.memory_bytes())
+        0
     }
 
     /// Heap bytes held by the cached column matrices (0 when disabled).
@@ -284,11 +250,9 @@ impl GoldenReference {
     }
 
     /// Total heap footprint of the activation caches plus any lowering
-    /// cache and batched golden state, in bytes.
+    /// cache, in bytes.
     pub fn memory_bytes(&self) -> usize {
-        self.caches.iter().map(ActivationCache::memory_bytes).sum::<usize>()
-            + self.lowering_bytes()
-            + self.batched_bytes()
+        self.caches.iter().map(ActivationCache::memory_bytes).sum::<usize>() + self.lowering_bytes()
     }
 }
 
@@ -339,12 +303,11 @@ mod tests {
         let golden = plain.with_lowering(&model).unwrap();
         assert!(golden.has_lowering());
         assert!(golden.lowering_bytes() > 0);
-        assert!(golden.has_batched());
-        assert!(golden.batched_bytes() > 0);
-        assert_eq!(
-            golden.memory_bytes(),
-            base_bytes + golden.lowering_bytes() + golden.batched_bytes()
-        );
+        assert_eq!(golden.batched_bytes(), 0, "the batched engine holds no golden copy");
+        let activation_bytes: usize =
+            (0..golden.len()).map(|i| golden.cache(i).memory_bytes()).sum();
+        assert_eq!(golden.memory_bytes(), activation_bytes + golden.lowering_bytes());
+        assert_eq!(activation_bytes, base_bytes);
 
         let conv_nodes: Vec<usize> = model
             .nodes()
@@ -367,28 +330,6 @@ mod tests {
         // A non-conv node is an honest miss once the cache is enabled.
         assert!(golden.lowering(0, 0).is_none());
         assert_eq!(golden.lowering_misses(), 1);
-    }
-
-    #[test]
-    fn batched_cache_rows_match_per_image_bits() {
-        let model = ResNetConfig::resnet20_micro().build_seeded(8).unwrap();
-        let data = SynthCifarConfig::new().with_size(16).with_samples(3).generate();
-        let golden = GoldenReference::build(&model, &data).unwrap().with_lowering(&model).unwrap();
-        let batched = golden.batched_cache().expect("built by with_lowering");
-        assert_eq!(batched.len(), model.nodes().len());
-        assert_eq!(golden.plan().len(), model.nodes().len());
-        for id in 0..batched.len() {
-            let bt = batched.get(id).unwrap();
-            let per_image = bt.len() / golden.len();
-            for i in 0..golden.len() {
-                let row = &bt.as_slice()[i * per_image..][..per_image];
-                let gold = golden.cache(i).get(id).unwrap().as_slice();
-                assert_eq!(row.len(), gold.len());
-                for (a, b) in row.iter().zip(gold) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "node {id}, image {i}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -375,35 +375,33 @@ impl CompiledPlan {
     }
 
     /// Measures per-node dense and batched execution costs against the
-    /// campaign's own golden caches and attaches them to the plan,
-    /// switching [`batched_profitable`](Self::batched_profitable) from the
-    /// static flop threshold to measured wall-clock costs. `single` must be a
-    /// one-image golden cache, `batched` the stacked eval-image cache.
-    /// Every step takes the min of `CALIBRATION_REPS` repetitions after
-    /// one warmup; fused groups are timed as the one fused kernel the
-    /// batched engine actually runs, attributed to the head conv.
+    /// campaign's own per-image golden caches (one per eval image) and
+    /// attaches them to the plan, switching
+    /// [`batched_profitable`](Self::batched_profitable) from the static flop
+    /// threshold to measured wall-clock costs. The dense steps run on
+    /// `caches[0]`; the batched steps run over all images, with each step's
+    /// golden input rows gathered from the caches *before* its timer
+    /// starts, so a measured step cost is the step alone. Every step takes
+    /// the min of `CALIBRATION_REPS` repetitions after one warmup; fused
+    /// groups are timed as the one fused kernel the batched engine actually
+    /// runs, attributed to the head conv.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::CacheMismatch`] when either cache does not cover
-    /// the model, or the first operator failure.
-    pub fn calibrate(
-        &mut self,
-        model: &Model,
-        single: &ActivationCache,
-        batched: &ActivationCache,
-    ) -> Result<(), NnError> {
+    /// Returns [`NnError::CacheMismatch`] when `caches` is empty or a cache
+    /// does not cover the model, or the first operator failure.
+    pub fn calibrate(&mut self, model: &Model, caches: &[ActivationCache]) -> Result<(), NnError> {
         let n = self.n_nodes;
-        if single.len() != n || batched.len() != n || model.nodes().len() != n {
+        if caches.is_empty() || model.nodes().len() != n || caches.iter().any(|c| c.len() != n) {
             return Err(NnError::CacheMismatch {
                 reason: format!(
-                    "calibrate: plan covers {n} nodes, caches hold {}/{}",
-                    single.len(),
-                    batched.len()
+                    "calibrate: plan covers {n} nodes, model has {}, {} caches must each cover it",
+                    model.nodes().len(),
+                    caches.len()
                 ),
             });
         }
-        let images = batched.get(0).expect("cache covers all nodes").shape().dims()[0];
+        let images = caches.len();
         let mut arena = ScratchArena::new();
         let empty: Vec<Tensor> = Vec::new();
         let mut dense_step = vec![0f64; n];
@@ -411,7 +409,7 @@ impl CompiledPlan {
             let mut best = f64::INFINITY;
             for rep in 0..=CALIBRATION_REPS {
                 let vals = NodeValues {
-                    prefix: single.activations(),
+                    prefix: caches[0].activations(),
                     over: None,
                     multi: &[],
                     suffix_base: n,
@@ -438,22 +436,34 @@ impl CompiledPlan {
                 (g.output() < n).then_some(g)
             });
             let out_node = group.map_or(id, FusedGroup::output);
+            // The step's golden inputs, gathered untimed into a suffix that
+            // starts at the earliest of them (unread slots hold
+            // placeholders), so the step reads every operand as a fresh
+            // suffix tensor.
+            let inputs = &model.nodes()[id].inputs;
+            let base = inputs.iter().copied().min().unwrap_or(id);
+            let mut fresh: Vec<Tensor> = (base..id).map(|_| Tensor::zeros([1])).collect();
+            for &inp in inputs {
+                fresh[inp - base] = gather_rows(caches, inp, &rows, &mut arena);
+            }
             let mut best = f64::INFINITY;
             for rep in 0..=CALIBRATION_REPS {
                 let t0 = Instant::now();
-                let out = match group {
-                    Some(g) => self.eval_fused(
-                        model, g, n, batched, &empty, None, images, &rows, &mut arena,
-                    )?,
-                    None => self.eval_step(
-                        model, id, n, batched, &empty, None, images, &rows, &mut arena,
-                    )?,
-                };
+                let out =
+                    match group {
+                        Some(g) => self
+                            .eval_fused(model, g, base, caches, &fresh, None, &rows, &mut arena)?,
+                        None => self
+                            .eval_step(model, id, base, caches, &fresh, None, &rows, &mut arena)?,
+                    };
                 let dt = t0.elapsed().as_secs_f64();
                 arena.recycle(out.into_vec());
                 if rep > 0 {
                     best = best.min(dt);
                 }
+            }
+            for t in fresh {
+                arena.recycle(t.into_vec());
             }
             batched_step[id] = best;
             id = out_node + 1;
@@ -468,14 +478,11 @@ impl CompiledPlan {
             }
             let NodeOp::Conv { weight, cfg, .. } = &model.nodes()[id].op else { continue };
             let w = &model.store().get(*weight).expect("validated at construction").tensor;
-            let input_id = model.nodes()[id].inputs[0];
-            let input = batched.get(input_id).ok_or_else(|| NnError::CacheMismatch {
-                reason: format!("calibrate: batched cache misses node {input_id}"),
-            })?;
+            let input = gather_rows(caches, model.nodes()[id].inputs[0], &rows, &mut arena);
             let mut best = f64::INFINITY;
             for rep in 0..=CALIBRATION_REPS {
                 let t0 = Instant::now();
-                let built = ops::im2col_lower_batched(input, w, *cfg, Some(&mut arena))
+                let built = ops::im2col_lower_batched(&input, w, *cfg, Some(&mut arena))
                     .map_err(|source| NnError::Op { node: id, source })?;
                 let dt = t0.elapsed().as_secs_f64();
                 arena.recycle(built.into_cols());
@@ -483,6 +490,7 @@ impl CompiledPlan {
                     best = best.min(dt);
                 }
             }
+            arena.recycle(input.into_vec());
             *slot = best;
         }
         let mut dense_suffix_s = vec![0f64; n + 1];
@@ -586,16 +594,19 @@ impl CompiledPlan {
         }
     }
 
-    /// Runs the batched suffix from `first_dirty` over the stacked
-    /// evaluation images: one fused GEMM per conv step for the whole batch
-    /// instead of one per image. `cache` is the **batched** golden cache
-    /// (built by running [`Model::forward_cached`] on the stacked images),
-    /// `lowered` the batched im2col panels of the first dirty conv's golden
-    /// input, and `dirty_unit` the one output unit the weight fault can
-    /// reach (arming the batched single-unit probe).
+    /// Runs the batched suffix from `first_dirty` over all evaluation
+    /// images at once: one fused GEMM per conv step for the whole batch
+    /// instead of one per image. `caches` holds one per-image golden cache
+    /// per eval image (each built by [`Model::forward_cached`] on a
+    /// one-image input); every golden prefix operand a step reads is
+    /// gathered from them into the surviving images' rows, so no stacked
+    /// golden cache exists. `lowered` is the batched im2col panel of the
+    /// first dirty conv's golden input (see [`SessionState::ensure_panel`]),
+    /// and `dirty_unit` the one output unit the weight fault can reach
+    /// (arming the batched single-unit probe).
     ///
     /// With `check_convergence` this is a **converging** pass: every step
-    /// compares each surviving image's rows against the golden cache, and
+    /// compares each surviving image's rows against its own golden cache, and
     /// an image whose rows went bitwise-golden with no live dirty values is
     /// dropped out of the panel — all live suffix tensors are compacted to
     /// the surviving rows (`rows` keeps the row→image map), so later steps
@@ -609,48 +620,50 @@ impl CompiledPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::CacheMismatch`] when the plan or cache does not
-    /// match the model, or the first operator failure.
+    /// Returns [`NnError::CacheMismatch`] when `caches` is empty or the
+    /// plan or a cache does not match the model, or the first operator
+    /// failure.
     #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
     pub fn forward_batched_from(
         &self,
         model: &Model,
         first_dirty: NodeId,
-        cache: &ActivationCache,
+        caches: &[ActivationCache],
         lowered: Option<&BatchedLowered>,
         dirty_unit: Option<usize>,
         check_convergence: bool,
         arena: &mut ScratchArena,
     ) -> Result<BatchedOutcome, NnError> {
         let n = self.n_nodes;
-        if model.nodes().len() != n || cache.len() != n {
+        if caches.is_empty() || model.nodes().len() != n || caches.iter().any(|c| c.len() != n) {
             return Err(NnError::CacheMismatch {
                 reason: format!(
-                    "batched forward: plan covers {n} nodes, model has {}, cache {}",
+                    "batched forward: plan covers {n} nodes, model has {}, {} caches must each \
+                     cover it",
                     model.nodes().len(),
-                    cache.len()
+                    caches.len()
                 ),
             });
         }
-        let first_dirty = first_dirty.max(1);
-        if first_dirty >= n {
-            return Ok(BatchedOutcome::Logits(cache.get(n - 1).expect("nonempty").clone()));
-        }
-        let batch = cache.get(0).expect("cache covers all nodes").shape().dims()[0];
-        let classes = cache.get(n - 1).expect("nonempty").len() / batch;
+        let batch = caches.len();
         // Per-image converging bookkeeping, indexed by ORIGINAL image id:
         // `rows[r]` maps the panel's surviving row `r` back to its image
         // (always ascending), `expiring[step * batch + img]` counts image
         // `img`'s dirty tensors whose last reader is `step`.
         let mut converged_at: Vec<Option<NodeId>> = vec![None; batch];
         let mut rows: Vec<usize> = (0..batch).collect();
+        let first_dirty = first_dirty.max(1);
+        if first_dirty >= n {
+            return Ok(BatchedOutcome::Logits(gather_rows(caches, n - 1, &rows, arena)));
+        }
+        let classes = caches[0].get(n - 1).expect("cache covers all nodes").len();
         let mut expiring: Vec<u32> = vec![0; if check_convergence { n * batch } else { 0 }];
         let mut live_dirty: Vec<u32> = vec![0; batch];
         let mut fresh: Vec<Tensor> = Vec::with_capacity(n - first_dirty);
         let mut start = first_dirty;
         if check_convergence {
             if let Some(unit) = dirty_unit {
-                match self.probe_batched(model, first_dirty, cache, lowered, unit, arena)? {
+                match self.probe_batched(model, first_dirty, caches, lowered, unit, arena)? {
                     BatchedProbe::Unsupported => {}
                     BatchedProbe::Probed { clean, dirty } => {
                         for (img, c) in clean.iter().enumerate() {
@@ -693,10 +706,9 @@ impl CompiledPlan {
                         model,
                         g,
                         first_dirty,
-                        cache,
+                        caches,
                         &fresh,
                         lowered,
-                        batch,
                         &rows,
                         arena,
                     )?;
@@ -707,10 +719,9 @@ impl CompiledPlan {
                         model,
                         id,
                         first_dirty,
-                        cache,
+                        caches,
                         &fresh,
                         lowered,
-                        batch,
                         &rows,
                         arena,
                     )?;
@@ -718,9 +729,7 @@ impl CompiledPlan {
                 }
             };
             if check_convergence {
-                let golden = cache.get(out_node).expect("cache covers all nodes");
-                let chunk = golden.len() / batch;
-                let gbits = golden.as_slice();
+                let chunk = caches[0].get(out_node).expect("cache covers all nodes").len();
                 let vbits = value.as_slice();
                 let lr = self.last_reader[out_node];
                 // Surviving row indices into the current panel width.
@@ -732,8 +741,8 @@ impl CompiledPlan {
                     for step in id..=out_node {
                         live_dirty[img] -= expiring[step * batch + img];
                     }
-                    let clean =
-                        bits_eq(&vbits[r * chunk..][..chunk], &gbits[img * chunk..][..chunk]);
+                    let golden = caches[img].get(out_node).expect("cache covers all nodes");
+                    let clean = bits_eq(&vbits[r * chunk..][..chunk], golden.as_slice());
                     if clean && live_dirty[img] == 0 {
                         converged_at[img] = Some(out_node);
                         continue;
@@ -815,19 +824,17 @@ impl CompiledPlan {
     /// `images * spatial` panels are exactly the wide-`n` shapes the
     /// `micro` dispatch tier owns), bias + folded BN + activation
     /// applied in the scatter epilogue (bit-identical to the unfused
-    /// three-pass sequence — see the module docs). When the converging
-    /// pass has dropped images (`rows.len() < batch`), golden prefix
-    /// inputs are compacted to the surviving rows before lowering.
+    /// three-pass sequence — see the module docs). A golden prefix input
+    /// is gathered from the surviving images' caches before lowering.
     #[allow(clippy::too_many_arguments)]
     fn eval_fused(
         &self,
         model: &Model,
         g: &FusedGroup,
         first_dirty: NodeId,
-        cache: &ActivationCache,
+        caches: &[ActivationCache],
         fresh: &[Tensor],
         lowered: Option<&BatchedLowered>,
-        batch: usize,
         rows: &[usize],
         arena: &mut ScratchArena,
     ) -> Result<Tensor, NnError> {
@@ -845,20 +852,19 @@ impl CompiledPlan {
             // every fault at this node; the converging pass only evaluates
             // the seed node while all rows are still live, so the panel
             // never needs compaction.
-            Some(low) if g.conv == first_dirty && rows.len() == batch => {
+            Some(low) if g.conv == first_dirty && low.batch() == rows.len() => {
                 ops::conv2d_batched_from_lowered(low, w, b, Some(&ep), Some(arena)).map_err(wrap)?
             }
             _ => {
-                let raw = value_of(node.inputs[0], first_dirty, cache, fresh);
-                let compacted = (node.inputs[0] < first_dirty && rows.len() < batch)
-                    .then(|| take_rows(raw, rows, arena));
-                let input = compacted.as_ref().unwrap_or(raw);
+                let inp = node.inputs[0];
+                let gathered = (inp < first_dirty).then(|| gather_rows(caches, inp, rows, arena));
+                let input = gathered.as_ref().unwrap_or_else(|| &fresh[inp - first_dirty]);
                 let owned = ops::im2col_lower_batched(input, w, *cfg, Some(arena)).map_err(wrap)?;
                 let out = ops::conv2d_batched_from_lowered(&owned, w, b, Some(&ep), Some(arena))
                     .map_err(wrap)?;
                 arena.recycle(owned.into_cols());
-                if let Some(c) = compacted {
-                    arena.recycle(c.into_vec());
+                if let Some(t) = gathered {
+                    arena.recycle(t.into_vec());
                 }
                 out
             }
@@ -870,18 +876,16 @@ impl CompiledPlan {
     /// convs still take the batched single-GEMM path (without an epilogue);
     /// everything else dispatches through the model's fast per-op kernels,
     /// which treat the batch dimension natively. Golden prefix inputs are
-    /// compacted to the surviving rows when the converging pass has
-    /// dropped images.
+    /// gathered from the surviving images' caches.
     #[allow(clippy::too_many_arguments)]
     fn eval_step(
         &self,
         model: &Model,
         id: NodeId,
         first_dirty: NodeId,
-        cache: &ActivationCache,
+        caches: &[ActivationCache],
         fresh: &[Tensor],
         lowered: Option<&BatchedLowered>,
-        batch: usize,
         rows: &[usize],
         arena: &mut ScratchArena,
     ) -> Result<Tensor, NnError> {
@@ -894,22 +898,22 @@ impl CompiledPlan {
                 let b = bias.map(&param);
                 let wrap = |source| NnError::Op { node: id, source };
                 let out = match lowered {
-                    Some(low) if id == first_dirty && rows.len() == batch => {
+                    Some(low) if id == first_dirty && low.batch() == rows.len() => {
                         ops::conv2d_batched_from_lowered(low, w, b, None, Some(arena))
                             .map_err(wrap)?
                     }
                     _ => {
-                        let raw = value_of(node.inputs[0], first_dirty, cache, fresh);
-                        let compacted = (node.inputs[0] < first_dirty && rows.len() < batch)
-                            .then(|| take_rows(raw, rows, arena));
-                        let input = compacted.as_ref().unwrap_or(raw);
+                        let inp = node.inputs[0];
+                        let gathered =
+                            (inp < first_dirty).then(|| gather_rows(caches, inp, rows, arena));
+                        let input = gathered.as_ref().unwrap_or_else(|| &fresh[inp - first_dirty]);
                         let owned =
                             ops::im2col_lower_batched(input, w, *cfg, Some(arena)).map_err(wrap)?;
                         let out = ops::conv2d_batched_from_lowered(&owned, w, b, None, Some(arena))
                             .map_err(wrap)?;
                         arena.recycle(owned.into_cols());
-                        if let Some(c) = compacted {
-                            arena.recycle(c.into_vec());
+                        if let Some(t) = gathered {
+                            arena.recycle(t.into_vec());
                         }
                         out
                     }
@@ -917,20 +921,18 @@ impl CompiledPlan {
                 return Ok(out);
             }
         }
-        // Generic path: golden prefix inputs this node reads are shadowed
-        // with row-compacted copies via the `multi` override, so every
-        // operand agrees on the surviving panel width.
+        // Generic path: every golden prefix input this node reads is
+        // gathered into the surviving rows and passed through the `multi`
+        // override, so every operand agrees on the panel width and the
+        // (empty) prefix is never read.
         let mut over_rows: Vec<(NodeId, Tensor)> = Vec::new();
-        if rows.len() < batch {
-            for &inp in &node.inputs {
-                if inp < first_dirty && !over_rows.iter().any(|(held, _)| *held == inp) {
-                    let golden = cache.get(inp).expect("cache covers all nodes");
-                    over_rows.push((inp, take_rows(golden, rows, arena)));
-                }
+        for &inp in &node.inputs {
+            if inp < first_dirty && !over_rows.iter().any(|(held, _)| *held == inp) {
+                over_rows.push((inp, gather_rows(caches, inp, rows, arena)));
             }
         }
         let vals = NodeValues {
-            prefix: cache.activations(),
+            prefix: &[],
             over: None,
             multi: &over_rows,
             suffix_base: first_dirty,
@@ -946,13 +948,13 @@ impl CompiledPlan {
 
     /// Batched single-unit probe of the first dirty node: evaluates only
     /// the faulted output unit for **all** images with one GEMM row over
-    /// the batched panel, and compares it against the batched golden
-    /// activation bit-for-bit.
+    /// the batched panel, and compares each image's unit against its own
+    /// golden activation bit-for-bit.
     fn probe_batched(
         &self,
         model: &Model,
         id: NodeId,
-        cache: &ActivationCache,
+        caches: &[ActivationCache],
         lowered: Option<&BatchedLowered>,
         unit: usize,
         arena: &mut ScratchArena,
@@ -960,7 +962,7 @@ impl CompiledPlan {
         let node = &model.nodes()[id];
         let param = |p: ParamId| &model.store().get(p).expect("validated at construction").tensor;
         let wrap = |source| NnError::Op { node: id, source };
-        let golden = cache.get(id).expect("cache covers all nodes");
+        let batch = caches.len();
         let vals: Vec<f32> = match &node.op {
             NodeOp::Conv { weight, bias, .. } => {
                 let Some(low) = lowered else { return Ok(BatchedProbe::Unsupported) };
@@ -972,35 +974,27 @@ impl CompiledPlan {
                     .map_err(wrap)?
             }
             NodeOp::Linear { weight, bias } => {
-                let xv = cache.get(node.inputs[0]).expect("cache covers all nodes");
-                let reshaped;
-                let x2 = if xv.shape().rank() == 2 {
-                    xv
-                } else {
-                    let b = xv.shape().dims()[0];
-                    let rest = xv.len() / b;
-                    reshaped = xv.reshape([b, rest]).map_err(wrap)?;
-                    &reshaped
-                };
                 let w = param(*weight);
                 if unit >= w.shape().dims()[0] {
                     return Ok(BatchedProbe::Unsupported);
                 }
-                ops::linear_row(x2, w, bias.map(&param), unit).map_err(wrap)?
+                let all: Vec<usize> = (0..batch).collect();
+                let xv = gather_rows(caches, node.inputs[0], &all, arena);
+                let rest = xv.len() / batch;
+                let row = xv
+                    .reshape([batch, rest])
+                    .and_then(|x2| ops::linear_row(&x2, w, bias.map(&param), unit));
+                arena.recycle(xv.into_vec());
+                row.map_err(wrap)?
             }
             _ => return Ok(BatchedProbe::Unsupported),
         };
-        let shape = golden.shape();
-        let dims = shape.dims();
-        let (batch, units) = (dims[0], dims[1]);
+        let golden = |img: usize| caches[img].get(id).expect("cache covers all nodes").as_slice();
+        let dims = caches[0].get(id).expect("cache covers all nodes").shape().dims().to_vec();
+        let units = dims[1];
         let chunk: usize = dims[2..].iter().product();
-        let g = golden.as_slice();
         let clean: Vec<bool> = (0..batch)
-            .map(|n| {
-                let gs = &g[(n * units + unit) * chunk..][..chunk];
-                let vs = &vals[n * chunk..][..chunk];
-                bits_eq(gs, vs)
-            })
+            .map(|n| bits_eq(&golden(n)[unit * chunk..][..chunk], &vals[n * chunk..][..chunk]))
             .collect();
         let survivors: Vec<usize> = (0..batch).filter(|&n| !clean[n]).collect();
         if survivors.is_empty() {
@@ -1014,11 +1008,11 @@ impl CompiledPlan {
         let mut data = arena.take(survivors.len() * row);
         for (r, &img) in survivors.iter().enumerate() {
             let dst = &mut data[r * row..][..row];
-            dst.copy_from_slice(&g[img * row..][..row]);
+            dst.copy_from_slice(golden(img));
             dst[unit * chunk..][..chunk].copy_from_slice(&vals[img * chunk..][..chunk]);
         }
         arena.recycle(vals);
-        let mut nd = dims.to_vec();
+        let mut nd = dims;
         nd[0] = survivors.len();
         let t = Tensor::from_vec(Shape::new(&nd), data)
             .expect("materialized activation matches golden row shape");
@@ -1034,9 +1028,8 @@ fn bits_eq(a: &[f32], b: &[f32]) -> bool {
 
 /// Copies the given leading-axis rows of `t` into a new arena-backed
 /// tensor, preserving the per-row layout. The converging batched pass uses
-/// this both to drop converged images out of live suffix tensors (`keep` =
-/// surviving row indices) and to shrink full-batch golden prefix inputs to
-/// the surviving images (`keep` = image ids).
+/// this to drop converged images out of live suffix tensors (`keep` =
+/// surviving row indices).
 fn take_rows(t: &Tensor, keep: &[usize], arena: &mut ScratchArena) -> Tensor {
     let shape = t.shape();
     let dims = shape.dims();
@@ -1051,19 +1044,26 @@ fn take_rows(t: &Tensor, keep: &[usize], arena: &mut ScratchArena) -> Tensor {
     Tensor::from_vec(Shape::new(&nd), data).expect("row subset preserves the element count")
 }
 
-/// Resolves a node reference during a batched suffix: cached golden values
-/// for the prefix, freshly computed values for the suffix.
-fn value_of<'a>(
+/// Gathers node `id`'s golden activation of `images` (ascending image ids)
+/// from their per-image caches into one arena-backed `[images.len(), ..]`
+/// tensor: the image-major layout the batched kernels read, so the batched
+/// engine needs no stacked golden copy of its own.
+fn gather_rows(
+    caches: &[ActivationCache],
     id: NodeId,
-    first_dirty: NodeId,
-    cache: &'a ActivationCache,
-    fresh: &'a [Tensor],
-) -> &'a Tensor {
-    if id >= first_dirty {
-        &fresh[id - first_dirty]
-    } else {
-        cache.get(id).expect("cache covers all nodes")
+    images: &[usize],
+    arena: &mut ScratchArena,
+) -> Tensor {
+    let one = caches[0].get(id).expect("cache covers all nodes");
+    let chunk = one.len();
+    let mut data = arena.take(images.len() * chunk);
+    for (r, &img) in images.iter().enumerate() {
+        let src = caches[img].get(id).expect("cache covers all nodes").as_slice();
+        data[r * chunk..][..chunk].copy_from_slice(src);
     }
+    let mut nd = one.shape().dims().to_vec();
+    nd[0] = images.len();
+    Tensor::from_vec(Shape::new(&nd), data).expect("per-image rows stack into the batch shape")
 }
 
 /// NaN-aware argmax over one logits row, identical to
@@ -1109,22 +1109,25 @@ impl SessionState {
     }
 
     /// Ensures the panel slot holds the batched im2col panel of `node`'s
-    /// golden input (from the batched golden `cache`), building it into
-    /// this worker's arena when absent. Returns `true` when the held panel
-    /// was reused (a sharing hit), `false` when it was (re)built or the
-    /// node does not lower. The faulty weight values never enter the
+    /// golden input over all eval images, building it into this worker's
+    /// arena when absent: the input rows are gathered from `caches` (one
+    /// per-image golden cache per eval image) and lowered image-major,
+    /// exactly as [`ops::im2col_lower_batched`] lowers the stacked input.
+    /// Returns `true` when the held panel was reused (a sharing hit),
+    /// `false` when it was (re)built or the node does not lower. The
+    /// faulty weight values never enter the
     /// panel — lowering reads only the node's *input* activation and the
     /// kernel geometry — so one panel serves every fault at the node.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::CacheMismatch`] when the cache misses the node's
-    /// input, or the lowering kernel's first failure.
+    /// Returns [`NnError::CacheMismatch`] when `caches` is empty or a cache
+    /// misses the node's input, or the lowering kernel's first failure.
     pub fn ensure_panel(
         &mut self,
         model: &Model,
         plan: &CompiledPlan,
-        cache: &ActivationCache,
+        caches: &[ActivationCache],
         node: NodeId,
     ) -> Result<bool, NnError> {
         if !plan.is_lowerable_conv(node) {
@@ -1138,14 +1141,19 @@ impl SessionState {
         };
         let w = &model.store().get(*weight).expect("validated at construction").tensor;
         let input_id = model.nodes()[node].inputs[0];
-        let input = cache.get(input_id).ok_or_else(|| NnError::CacheMismatch {
-            reason: format!("panel build: batched cache misses node {input_id}"),
-        })?;
+        if caches.is_empty() || caches.iter().any(|c| c.get(input_id).is_none()) {
+            return Err(NnError::CacheMismatch {
+                reason: format!("panel build: a golden cache misses node {input_id}"),
+            });
+        }
         if let Some((_, old)) = self.panel.take() {
             self.arena.recycle(old.into_cols());
         }
-        let built = ops::im2col_lower_batched(input, w, *cfg, Some(&mut self.arena))
-            .map_err(|source| NnError::Op { node, source })?;
+        let all: Vec<usize> = (0..caches.len()).collect();
+        let input = gather_rows(caches, input_id, &all, &mut self.arena);
+        let built = ops::im2col_lower_batched(&input, w, *cfg, Some(&mut self.arena));
+        self.arena.recycle(input.into_vec());
+        let built = built.map_err(|source| NnError::Op { node, source })?;
         self.panel = Some((node, built));
         Ok(false)
     }
@@ -1242,24 +1250,34 @@ mod tests {
         assert!(plan.suffix_flops(1) > 0);
     }
 
+    /// One golden cache per image of the `[n, c, h, w]` batch `stacked`.
+    fn per_image_caches(model: &Model, stacked: &Tensor) -> Vec<ActivationCache> {
+        let dims = stacked.shape().dims().to_vec();
+        let chunk = stacked.len() / dims[0];
+        stacked
+            .as_slice()
+            .chunks(chunk)
+            .map(|row| {
+                let img = Tensor::from_vec([1, dims[1], dims[2], dims[3]], row.to_vec()).unwrap();
+                model.forward_cached(&img).unwrap()
+            })
+            .collect()
+    }
+
     #[test]
     fn batched_forward_matches_per_image_bitwise() {
         let (model, _, _) = setup();
         let images: Vec<Tensor> = (0..3)
             .map(|s| Tensor::from_fn([1, 3, 16, 16], |i| ((i + s * 31) as f32 * 0.21).cos()))
             .collect();
-        let mut stacked = Vec::new();
-        for img in &images {
-            stacked.extend_from_slice(img.as_slice());
-        }
-        let batched_input = Tensor::from_vec([3, 3, 16, 16], stacked).unwrap();
-        let bcache = model.forward_cached(&batched_input).unwrap();
-        let plan = CompiledPlan::compile(&model, &bcache).unwrap();
+        let caches: Vec<ActivationCache> =
+            images.iter().map(|img| model.forward_cached(img).unwrap()).collect();
+        let plan = CompiledPlan::compile(&model, &caches[0]).unwrap();
         let mut arena = ScratchArena::new();
         // Re-run the whole graph batched (suffix start = 1, no probe, no
         // convergence) and compare per-image rows to per-image passes.
         let out =
-            plan.forward_batched_from(&model, 1, &bcache, None, None, false, &mut arena).unwrap();
+            plan.forward_batched_from(&model, 1, &caches, None, None, false, &mut arena).unwrap();
         let BatchedOutcome::Logits(logits) = out else { panic!("no convergence requested") };
         let classes = logits.len() / 3;
         for (i, img) in images.iter().enumerate() {
@@ -1275,13 +1293,13 @@ mod tests {
     fn batched_convergence_detects_golden_recompute() {
         let (model, _, _) = setup();
         let input = Tensor::from_fn([2, 3, 16, 16], |i| (i as f32 * 0.11).sin());
-        let bcache = model.forward_cached(&input).unwrap();
-        let plan = CompiledPlan::compile(&model, &bcache).unwrap();
+        let caches = per_image_caches(&model, &input);
+        let plan = CompiledPlan::compile(&model, &caches[0]).unwrap();
         let mut arena = ScratchArena::new();
         // Nothing is dirty: recomputing from node 1 must converge every
         // image with no surviving logits rows.
         let out =
-            plan.forward_batched_from(&model, 1, &bcache, None, None, true, &mut arena).unwrap();
+            plan.forward_batched_from(&model, 1, &caches, None, None, true, &mut arena).unwrap();
         let BatchedOutcome::Converging { converged_at, logits, .. } = out else {
             panic!("convergence was requested");
         };
@@ -1292,11 +1310,11 @@ mod tests {
 
     #[test]
     fn calibration_switches_dispatch_to_measured_costs() {
-        let (model, cache, mut plan) = setup();
+        let (model, _, mut plan) = setup();
         assert!(plan.calibration().is_none());
         let input = Tensor::from_fn([2, 3, 16, 16], |i| (i as f32 * 0.11).sin());
-        let bcache = model.forward_cached(&input).unwrap();
-        plan.calibrate(&model, &cache, &bcache).unwrap();
+        let caches = per_image_caches(&model, &input);
+        plan.calibrate(&model, &caches).unwrap();
         let cal = plan.calibration().expect("calibration attached");
         assert_eq!(cal.images(), 2);
         // Suffix costs are monotone decreasing, like the flop estimates.
@@ -1311,20 +1329,45 @@ mod tests {
     fn session_state_panel_slot_hits_on_repeat_node() {
         let (model, _, _) = setup();
         let input = Tensor::from_fn([2, 3, 16, 16], |i| (i as f32 * 0.13).cos());
-        let bcache = model.forward_cached(&input).unwrap();
-        let plan = CompiledPlan::compile(&model, &bcache).unwrap();
+        let caches = per_image_caches(&model, &input);
+        let plan = CompiledPlan::compile(&model, &caches[0]).unwrap();
         let conv = (1..plan.len()).find(|&id| plan.is_lowerable_conv(id)).expect("has convs");
         let other = (conv + 1..plan.len()).find(|&id| plan.is_lowerable_conv(id)).unwrap();
         let mut session = SessionState::new();
-        assert!(!session.ensure_panel(&model, &plan, &bcache, conv).unwrap(), "first build");
-        assert!(session.ensure_panel(&model, &plan, &bcache, conv).unwrap(), "repeat hits");
+        assert!(!session.ensure_panel(&model, &plan, &caches, conv).unwrap(), "first build");
+        assert!(session.ensure_panel(&model, &plan, &caches, conv).unwrap(), "repeat hits");
         let (_, panel) = session.arena_and_panel(conv);
         assert!(panel.is_some());
         let (_, wrong) = session.arena_and_panel(other);
         assert!(wrong.is_none(), "slot is keyed by node");
-        assert!(!session.ensure_panel(&model, &plan, &bcache, other).unwrap(), "rebuild on switch");
+        assert!(!session.ensure_panel(&model, &plan, &caches, other).unwrap(), "rebuild on switch");
         let (_, panel) = session.arena_and_panel(other);
         assert!(panel.is_some());
+    }
+
+    #[test]
+    fn panel_gathered_from_per_image_caches_matches_the_stacked_lowering() {
+        let (model, _, _) = setup();
+        let input = Tensor::from_fn([3, 3, 16, 16], |i| (i as f32 * 0.17).sin());
+        let caches = per_image_caches(&model, &input);
+        let stacked = model.forward_cached(&input).unwrap();
+        let plan = CompiledPlan::compile(&model, &caches[0]).unwrap();
+        let mut session = SessionState::new();
+        let mut checked = 0;
+        for id in (1..plan.len()).filter(|&id| plan.is_lowerable_conv(id)) {
+            let NodeOp::Conv { weight, cfg, .. } = &model.nodes()[id].op else { unreachable!() };
+            let w = &model.store().get(*weight).unwrap().tensor;
+            let stacked_input = stacked.get(model.nodes()[id].inputs[0]).unwrap();
+            let want = ops::im2col_lower_batched(stacked_input, w, *cfg, None).unwrap().into_cols();
+            session.ensure_panel(&model, &plan, &caches, id).unwrap();
+            let got = session.arena_and_panel(id).1.expect("panel built").clone().into_cols();
+            assert_eq!(got.len(), want.len(), "node {id}");
+            for (a, b) in got.iter().zip(&want) {
+                assert_eq!(a.to_bits(), b.to_bits(), "node {id}");
+            }
+            checked += 1;
+        }
+        assert!(checked > 1, "resnet20-micro has several lowerable convs");
     }
 
     #[test]

@@ -1383,6 +1383,17 @@ mod tests {
                 .join("\n")
         };
         assert_eq!(strip(&cached), strip(&uncached));
+        // The lowering cache adds lowering bytes only: both runs hold the
+        // same golden activations.
+        let activation_bytes = |b: &[u8]| {
+            String::from_utf8(b.to_vec())
+                .unwrap()
+                .lines()
+                .find_map(|l| l.strip_prefix("golden reference: ")?.split_once(" activation"))
+                .map(|(bytes, _)| bytes.to_string())
+                .expect("memory header")
+        };
+        assert_eq!(activation_bytes(&cached), activation_bytes(&uncached));
         let text = String::from_utf8(cached).unwrap();
         assert!(text.contains("golden reference:"), "{text}");
         assert!(text.contains("lowering-cache bytes"));

@@ -65,7 +65,7 @@ fn every_engine_fires_on_the_tier_it_owns() {
     // them, so the measured cost model selects it robustly for conv faults.
     let (data, golden) = campaign_world(&model, 16, 8);
     let golden = golden.with_lowering(&model).unwrap();
-    assert!(golden.has_batched(), "with_lowering builds the batched golden state");
+    assert!(golden.has_lowering(), "with_lowering arms the batched engine");
     let cfg = CampaignConfig::default();
 
     // Weight tier. Mantissa-bit faults rarely mismatch, so dispatch holds

@@ -19,9 +19,9 @@ use fixtures::{
 };
 use proptest::prelude::*;
 use sfi::prelude::*;
-use sfi_nn::{BatchedOutcome, Model, NodeOp};
+use sfi_nn::{BatchedOutcome, Model, SessionState};
 use sfi_nn::{CompiledPlan, ForwardOptions, ForwardOutcome, ParamKind};
-use sfi_tensor::ops::{self, Conv2dCfg};
+use sfi_tensor::ops;
 use sfi_tensor::{ScratchArena, Tensor};
 
 /// ParamIds of every fault-injectable weight tensor in `model`.
@@ -29,17 +29,6 @@ fn weight_params(model: &Model) -> Vec<usize> {
     (0..model.store().len())
         .filter(|&p| matches!(model.store().get(p).unwrap().kind, ParamKind::Weight { .. }))
         .collect()
-}
-
-/// Stacks `images` (each `[1, c, h, w]`) into one `[n, c, h, w]` batch.
-fn stack(images: &[Tensor]) -> Tensor {
-    let dims = images[0].shape().dims().to_vec();
-    let mut stacked = Vec::new();
-    for img in images {
-        stacked.extend_from_slice(img.as_slice());
-    }
-    let shape = [images.len(), dims[1], dims[2], dims[3]];
-    Tensor::from_vec(shape, stacked).unwrap()
 }
 
 /// Per-image deterministic inputs for `model` (batch 1 each).
@@ -72,11 +61,9 @@ proptest! {
     ) {
         let model = random_small_model(seed);
         let images = per_image_inputs(&model, 2 + (seed % 2) as usize, seed);
-        let batched_input = stack(&images);
-        let bcache = model.forward_cached(&batched_input).unwrap();
         let caches: Vec<_> =
             images.iter().map(|img| model.forward_cached(img).unwrap()).collect();
-        let plan = CompiledPlan::compile(&model, &bcache).unwrap();
+        let plan = CompiledPlan::compile(&model, &caches[0]).unwrap();
 
         let weights = weight_params(&model);
         let pid = weights[param_pick % weights.len()];
@@ -100,18 +87,12 @@ proptest! {
         let dense: Vec<Tensor> =
             caches.iter().map(|c| faulty.forward_from(first_dirty, c).unwrap()).collect();
 
-        // Batched golden im2col panels of the first dirty conv, as the
-        // campaign executor would feed them from the golden reference.
-        let node = &faulty.nodes()[first_dirty];
-        let lowered = match &node.op {
-            NodeOp::Conv { weight, cfg, .. } if plan.is_lowerable_conv(first_dirty) => {
-                let input = bcache.get(node.inputs[0]).unwrap();
-                let w = &faulty.store().get(*weight).unwrap().tensor;
-                let _: &Conv2dCfg = cfg;
-                Some(ops::im2col_lower_batched(input, w, *cfg, None).unwrap())
-            }
-            _ => None,
-        };
+        // Batched golden im2col panel of the first dirty conv, gathered
+        // from the per-image caches exactly as the campaign executor's
+        // session builds it.
+        let mut session = SessionState::new();
+        session.ensure_panel(&faulty, &plan, &caches, first_dirty).unwrap();
+        let lowered = session.arena_and_panel(first_dirty).1;
 
         let mut arena = ScratchArena::new();
         for check_convergence in [false, true] {
@@ -125,8 +106,8 @@ proptest! {
                         .forward_batched_from(
                             &faulty,
                             first_dirty,
-                            &bcache,
-                            if use_lowered { lowered.as_ref() } else { None },
+                            &caches,
+                            if use_lowered { lowered } else { None },
                             if check_convergence { dirty_unit } else { None },
                             check_convergence,
                             &mut arena,
@@ -236,9 +217,9 @@ proptest! {
 
     /// Campaign classifications and inference counts are identical with the
     /// batched engine on and off, at workers ∈ {1, 4, 8}, across the
-    /// convergence/delta configuration matrix — on a golden reference with
-    /// the batched cache built (the only configuration that can take the
-    /// batched branch).
+    /// convergence/delta configuration matrix — on a golden reference built
+    /// `with_lowering` (the only configuration that can take the batched
+    /// branch).
     #[test]
     fn batched_campaign_is_invisible_across_workers(
         fault_seed in 0u64..1_000_000,
