@@ -1,7 +1,7 @@
 //! `obs_overhead`: the observability zero-cost gate. Compares a
 //! probe-free, hand-rolled twin of the library's per-image engine (built
 //! from the same public APIs the executor uses: deepest-first fault order,
-//! `forward_from_converging` with the single-unit probe, the cached
+//! a converging `forward_from` with the single-unit probe, the cached
 //! lowering and a scratch arena) against the library path running that
 //! same engine (`CampaignConfig { batched: false, ..default }`) with
 //! tracing disabled, then measures what the spans and events levels add.
@@ -53,7 +53,7 @@ fn bit_level_faults(space: &FaultSpace, per_bit: u64) -> Vec<Fault> {
 /// The probe-free twin of the library's per-image engine, hand-rolled
 /// from public APIs: faults run deepest-first (the executor's order while
 /// early exit is on); each is injected, every image re-executes from the
-/// dirty node through `forward_from_converging` with the cached lowering,
+/// dirty node through a converging `forward_from` with the cached lowering,
 /// a scratch arena and the single-unit probe, mismatches against the
 /// golden top-1 are counted with early exit, and the fault is reverted.
 /// No probe anywhere — this is the baseline the instrumented executor is
@@ -92,10 +92,11 @@ fn classify_probe_free(
                     arena: Some(&mut *arena),
                     lowered,
                     dirty_unit,
+                    converge: true,
                     ..Default::default()
                 };
                 let out = model
-                    .forward_from_converging(injection.dirty_node, golden.cache(idx), &mut opts)
+                    .forward_from(Some(injection.dirty_node), golden.cache(idx), &[], &mut opts)
                     .unwrap();
                 inferences += 1;
                 let ForwardOutcome::Logits(logits) = out else {

@@ -11,8 +11,9 @@
 //!   (node × element × bit), with per-node subpopulations mirroring the
 //!   paper's per-layer stratification;
 //! - [`run_activation_campaign`] injects each fault into one inference via
-//!   [`Model::forward_patched`] (the clean prefix is reused from the
-//!   golden cache) and classifies the outcome against the golden top-1.
+//!   the patch of a dense [`Model::forward_from`] pass (the clean prefix is
+//!   reused from the golden cache) and classifies the outcome against the
+//!   golden top-1.
 //!
 //! A transient fault is tied to a specific image; the campaign evaluates
 //! each sampled `(fault, image)` pair once, which is exactly the trial
@@ -21,8 +22,9 @@
 use serde::{Deserialize, Serialize};
 
 use sfi_dataset::Dataset;
-use sfi_nn::{Model, NodeId};
+use sfi_nn::{ForwardOptions, Model, NodeId};
 
+use crate::executor::validate_activation_site;
 use crate::fault::FaultModel;
 use crate::golden::GoldenReference;
 use crate::multi::FaultTarget;
@@ -362,29 +364,13 @@ pub fn run_activation_campaign(
     let mut critical = Vec::with_capacity(faults.len());
     let mut inferences = 0u64;
     for fault in faults {
-        if fault.site.image >= golden.len() {
-            return Err(FaultSimError::InvalidFault {
-                reason: format!(
-                    "image {} outside evaluation set of {}",
-                    fault.site.image,
-                    golden.len()
-                ),
-            });
-        }
+        validate_activation_site(golden, fault)?;
         let cache = golden.cache(fault.site.image);
-        let site = fault.site;
-        let model_kind = fault.model;
-        let logits = model
-            .forward_patched(site.node, cache, move |t| {
-                let data = t.as_mut_slice();
-                if site.element < data.len() {
-                    data[site.element] = model_kind.apply(data[site.element], site.bit);
-                }
-            })
-            .map_err(FaultSimError::Nn)?;
+        let opts = &mut ForwardOptions::default();
+        let logits = model.forward_from(None, cache, &[fault.patch()], opts)?.into_logits(cache);
         inferences += 1;
         let pred = logits.argmax().expect("logits are nonempty");
-        critical.push(pred != golden.prediction(site.image));
+        critical.push(pred != golden.prediction(fault.site.image));
     }
     Ok(ActivationCampaignResult { critical, inferences })
 }
@@ -488,6 +474,24 @@ mod tests {
             run_activation_campaign(&model, &data, &golden, &[fault]),
             Err(FaultSimError::InvalidFault { .. })
         ));
+    }
+
+    #[test]
+    fn invalid_sites_are_rejected_before_patching() {
+        // One past the last element, a node outside the graph, and a bit
+        // outside the word: each is a typed InvalidFault, never an
+        // inference, a CacheMismatch or a panic.
+        let (model, data, golden, _) = setup();
+        let len = golden.cache(0).get(1).unwrap().len();
+        for site in [
+            ActivationSite { node: 1, element: len, bit: 0, image: 0 },
+            ActivationSite { node: 10_000, element: 0, bit: 0, image: 0 },
+            ActivationSite { node: 1, element: 0, bit: 40, image: 0 },
+        ] {
+            let fault = ActivationFault { site, model: FaultModel::BitFlip };
+            let res = run_activation_campaign(&model, &data, &golden, &[fault]);
+            assert!(matches!(res, Err(FaultSimError::InvalidFault { .. })), "{site:?}: {res:?}");
+        }
     }
 
     #[test]

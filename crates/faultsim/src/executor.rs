@@ -986,58 +986,30 @@ pub(crate) fn classify_one<C: Corruption>(
     }
     let arena = &mut session.arena;
     let total_nodes = model.nodes().len();
+    // Full re-execution recomputes every node from the cached input, which
+    // holds the image bit for bit.
+    let first_dirty = if cfg.incremental { injection.dirty_node } else { 0 };
     let mut tally = VerdictTally::new(golden, needed_for_critical, cfg);
     let mut outcome: Result<(), FaultSimError> = Ok(());
     for idx in 0..data.len() {
         let timer = wprobe.inference_start();
-        let logits = match (cfg.incremental, fast) {
-            (true, true) => {
-                let lowered =
-                    golden.lowering(injection.dirty_node, idx).map(|l| (injection.dirty_node, l));
-                let mut opts = ForwardOptions {
-                    arena: Some(&mut *arena),
-                    lowered,
-                    dirty_unit,
-                    ..Default::default()
-                };
-                if cfg.convergence {
-                    match model.forward_from_converging(
-                        injection.dirty_node,
-                        golden.cache(idx),
-                        &mut opts,
-                    ) {
-                        Ok(ForwardOutcome::Logits(l)) => Ok(l),
-                        Ok(ForwardOutcome::Converged { at_node }) => {
-                            // The image's prediction provably equals the
-                            // golden one: count the inference, never the
-                            // mismatch, and move to the next image.
-                            wprobe.inference_end(timer);
-                            let skipped = tally.converged(at_node, total_nodes);
-                            wprobe.record_convergence(at_node + 1 - injection.dirty_node, skipped);
-                            continue;
-                        }
-                        Err(e) => Err(e),
-                    }
-                } else {
-                    model.forward_from_with(injection.dirty_node, golden.cache(idx), &mut opts)
-                }
+        let mut opts = forward_options(cfg, arena);
+        if cfg.incremental && fast {
+            opts.lowered = golden.lowering(first_dirty, idx).map(|l| (first_dirty, l));
+            opts.dirty_unit = dirty_unit;
+            opts.converge = cfg.convergence;
+        }
+        let logits = match model.forward_from(Some(first_dirty), golden.cache(idx), &[], &mut opts)
+        {
+            Ok(ForwardOutcome::Logits(l)) => l,
+            Ok(ForwardOutcome::Converged { at_node }) => {
+                // The image's prediction provably equals the golden one:
+                // count the inference, never the mismatch, and move on.
+                wprobe.inference_end(timer);
+                let skipped = tally.converged(at_node, total_nodes);
+                wprobe.record_convergence(at_node + 1 - first_dirty, skipped);
+                continue;
             }
-            (true, false) => model.forward_from_with(
-                injection.dirty_node,
-                golden.cache(idx),
-                &mut ForwardOptions { policy: KernelPolicy::Naive, ..Default::default() },
-            ),
-            (false, true) => model.forward_with(
-                data.image(idx),
-                &mut ForwardOptions { arena: Some(&mut *arena), ..Default::default() },
-            ),
-            (false, false) => model.forward_with(
-                data.image(idx),
-                &mut ForwardOptions { policy: KernelPolicy::Naive, ..Default::default() },
-            ),
-        };
-        let logits = match logits {
-            Ok(l) => l,
             Err(e) => {
                 outcome = Err(e.into());
                 break;
@@ -1198,9 +1170,19 @@ pub(crate) fn classify_any<C: Corruption>(
     }
 }
 
+/// The [`ForwardOptions`] a campaign's dense inferences start from: the
+/// worker's scratch arena under [`KernelPolicy::Fast`], the naive reference
+/// kernels otherwise.
+fn forward_options<'a>(cfg: &CampaignConfig, arena: &'a mut ScratchArena) -> ForwardOptions<'a> {
+    match cfg.kernel {
+        KernelPolicy::Fast => ForwardOptions { arena: Some(arena), ..Default::default() },
+        KernelPolicy::Naive => ForwardOptions { policy: KernelPolicy::Naive, ..Default::default() },
+    }
+}
+
 /// Checks that an activation fault's coordinates exist in the golden
 /// reference, without touching the model.
-fn validate_activation_site(
+pub(crate) fn validate_activation_site(
     golden: &GoldenReference,
     fault: &ActivationFault,
 ) -> Result<(), FaultSimError> {
@@ -1246,8 +1228,8 @@ fn validate_activation_site(
 /// With the delta engine active the single dirty site seeds a sparse cone
 /// via [`Model::forward_delta_site`] (this is the workload the per-image
 /// dirty-site machinery was built for); otherwise the dense
-/// [`Model::forward_patched_with`] path re-executes the suffix. The model
-/// is never mutated.
+/// [`Model::forward_from`] pass re-executes the suffix with the fault's
+/// patch. The model is never mutated.
 fn classify_activation(
     model: &Model,
     golden: &GoldenReference,
@@ -1296,17 +1278,8 @@ fn classify_activation(
             }
         }
     } else {
-        let mut opts = if fast {
-            ForwardOptions { arena: Some(&mut *arena), ..Default::default() }
-        } else {
-            ForwardOptions { policy: KernelPolicy::Naive, ..Default::default() }
-        };
-        model.forward_patched_with(
-            site.node,
-            cache,
-            move |t| t.as_mut_slice()[site.element] = f32::from_bits(faulty_bits),
-            &mut opts,
-        )?
+        let opts = &mut forward_options(cfg, arena);
+        model.forward_from(None, cache, &[fault.patch()], opts)?.into_logits(cache)
     };
     wprobe.inference_end(timer);
     outcome.inferences = 1;
@@ -1329,7 +1302,7 @@ fn classify_activation(
 /// effect: every weight injection is ineffective and every activation patch
 /// is a no-op on the value it would strike. Images touched by neither a
 /// weight fault nor an activation patch are provably golden and skipped.
-/// Re-execution always runs the dense [`Model::forward_from_patched`] path
+/// Re-execution always runs the dense [`Model::forward_from`] pass
 /// (patches on multiple sites make the sparse cone immediately wide), which
 /// starts from the shallowest effective component.
 #[allow(clippy::too_many_arguments)]
@@ -1375,7 +1348,6 @@ fn classify_accumulated<C: Corruption>(
         }
         return Ok(FaultOutcome::masked());
     }
-    let fast = cfg.kernel == KernelPolicy::Fast;
     let mut tally = VerdictTally::new(golden, needed_for_critical, cfg);
     let mut outcome: Result<(), FaultSimError> = Ok(());
     for idx in 0..data.len() {
@@ -1390,18 +1362,10 @@ fn classify_accumulated<C: Corruption>(
             continue;
         }
         let timer = wprobe.inference_start();
-        let mut opts = if fast {
-            ForwardOptions { arena: Some(&mut *arena), ..Default::default() }
-        } else {
-            ForwardOptions { policy: KernelPolicy::Naive, ..Default::default() }
-        };
-        let logits = match model.forward_from_patched(
-            weight_dirty,
-            golden.cache(idx),
-            &patches,
-            &mut opts,
-        ) {
-            Ok(l) => l,
+        let cache = golden.cache(idx);
+        let opts = &mut forward_options(cfg, arena);
+        let logits = match model.forward_from(weight_dirty, cache, &patches, opts) {
+            Ok(out) => out.into_logits(cache),
             Err(e) => {
                 outcome = Err(e.into());
                 break;

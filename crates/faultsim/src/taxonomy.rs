@@ -163,19 +163,18 @@ pub fn run_campaign_detailed<C: Corruption>(
         }
         let mut any_mismatch = false;
         let mut any_nonfinite = false;
+        // Full re-execution recomputes every node from the cached input.
+        let first_dirty = if incremental { injection.dirty_node } else { 0 };
         for idx in 0..data.len() {
-            let logits = if incremental {
+            let cache = golden.cache(idx);
+            let mut opts = ForwardOptions { arena: Some(&mut arena), ..Default::default() };
+            if incremental {
                 // Feed the first dirty conv its precomputed golden im2col
                 // panels when the golden reference carries them.
-                let lowered =
-                    golden.lowering(injection.dirty_node, idx).map(|l| (injection.dirty_node, l));
-                let mut opts =
-                    ForwardOptions { arena: Some(&mut arena), lowered, ..Default::default() };
-                worker.forward_from_with(injection.dirty_node, golden.cache(idx), &mut opts)?
-            } else {
-                let mut opts = ForwardOptions { arena: Some(&mut arena), ..Default::default() };
-                worker.forward_with(data.image(idx), &mut opts)?
-            };
+                opts.lowered = golden.lowering(first_dirty, idx).map(|l| (first_dirty, l));
+            }
+            let logits = worker.forward_from(Some(first_dirty), cache, &[], &mut opts)?;
+            let logits = logits.into_logits(cache);
             inferences += 1;
             if logits.iter().any(|v| !v.is_finite()) {
                 any_nonfinite = true;

@@ -2,7 +2,7 @@
 //!
 //! A transient activation (or input) upset corrupts exactly one element of
 //! one node's activation; everything else that node holds is bit-golden.
-//! Instead of re-running the dense suffix ([`Model::forward_patched_with`]),
+//! Instead of re-running the dense suffix (a patched [`Model::forward_from`]),
 //! the delta pass represents every faulty activation as *golden + delta*:
 //! the full tensor is materialized, but a [`DirtyMask`] records which
 //! per-channel, per-spatial-block regions may differ bitwise from the
@@ -32,13 +32,13 @@
 //! Weight faults do not use this engine: a faulted weight dirties a whole
 //! output channel, so its cone saturates at the first downstream conv and
 //! the pass degrades to dense evaluation plus mask bookkeeping. They run
-//! the dense converging pass ([`Model::forward_from_converging`]) or the
+//! the dense converging pass ([`Model::forward_from`]) or the
 //! batched eval-image engine instead.
 
 use sfi_tensor::ops::{self, Conv2dCfg, Padding};
 use sfi_tensor::{DirtyMask, ScratchArena, Tensor, DIRTY_BLOCK};
 
-use crate::model::{ActivationCache, ForwardOutcome};
+use crate::model::{ActivationCache, ForwardOutcome, LiveDirty};
 use crate::{Model, NnError, NodeId, NodeOp, ParamId};
 
 /// Default [`DeltaOptions::saturation`] threshold: when a node's candidate
@@ -102,12 +102,12 @@ impl Model {
     /// Incremental faulty inference from a single corrupted activation
     /// element — the transient-fault injection hook.
     ///
-    /// Bit-identical to [`Model::forward_patched_with`] in every observable
-    /// way: returned logits carry the exact bits dense recomputation would
-    /// produce, and [`ForwardOutcome::Converged`] is returned only when the
-    /// skipped suffix is provably bit-golden (same live-dirty bookkeeping
-    /// as [`Model::forward_from_converging`], with "dirty" ⇔ "mask
-    /// nonempty").
+    /// Bit-identical to the dense [`Model::forward_from`] pass with the
+    /// same [`ActPatch`](crate::ActPatch) in every observable way: returned
+    /// logits carry the exact bits dense recomputation would produce, and
+    /// [`ForwardOutcome::Converged`] is returned only when the skipped
+    /// suffix is provably bit-golden (the live-dirty tracker of the dense
+    /// converging pass, with "dirty" ⇔ "mask nonempty").
     ///
     /// The seed is not recomputed at all: the golden activation of `node` is
     /// cloned, its flat `element` is replaced by `faulty_bits`, and the
@@ -184,30 +184,19 @@ impl Model {
         mut stats: DeltaStats,
     ) -> Result<(ForwardOutcome, DeltaStats), NnError> {
         let n_nodes = self.nodes().len();
-        // Same live-dirty bookkeeping as forward_from_converging: a node
-        // with a nonempty mask blocks convergence until its last reader
-        // has consumed it.
-        let mut last_reader: Vec<NodeId> = (0..n_nodes).collect();
-        for (id, node) in self.nodes().iter().enumerate().skip(first_dirty) {
-            for &inp in &node.inputs {
-                last_reader[inp] = id;
-            }
-        }
-        let mut expiring: Vec<u32> = vec![0; n_nodes];
-        let mut live_dirty: u32 = 0;
+        // Same live-dirty rule as the dense converging pass, with "dirty"
+        // ⇔ "mask nonempty".
+        let mut live = LiveDirty::new(self.nodes(), first_dirty);
         let mut states: Vec<Option<DeltaState>> = Vec::with_capacity(n_nodes - first_dirty);
         stats.dirty_blocks += seed.mask.dirty_blocks() as u64;
-        if last_reader[first_dirty] > first_dirty {
-            expiring[last_reader[first_dirty]] += 1;
-            live_dirty += 1;
-        }
+        live.dirty(first_dirty);
         states.push(Some(seed));
         for id in first_dirty + 1..n_nodes {
             let state = self.delta_node(id, first_dirty, cache, &states, opts, &mut stats)?;
-            live_dirty -= expiring[id];
+            live.consumed(id);
             match state {
                 None => {
-                    if live_dirty == 0 {
+                    if live.clear() {
                         if let Some(a) = opts.arena.as_deref_mut() {
                             for s in states.into_iter().flatten() {
                                 a.recycle(s.value.into_vec());
@@ -219,10 +208,7 @@ impl Model {
                 }
                 Some(s) => {
                     stats.dirty_blocks += s.mask.dirty_blocks() as u64;
-                    if last_reader[id] > id {
-                        expiring[last_reader[id]] += 1;
-                        live_dirty += 1;
-                    }
+                    live.dirty(id);
                     states.push(Some(s));
                 }
             }
@@ -907,7 +893,7 @@ mod tests {
     use sfi_tensor::Shape;
 
     use super::*;
-    use crate::{Node, ParamKind, ParameterStore};
+    use crate::{ActPatch, ForwardOptions, Node, ParamKind, ParameterStore};
 
     /// Payloads a bit-level upset can leave behind: quiet and signalling
     /// NaNs with distinct payloads and signs, ±Inf, the largest finite
@@ -952,6 +938,21 @@ mod tests {
         Model::new("tiny", nodes, store, vec![1, 4, 4]).unwrap()
     }
 
+    /// The dense patched forward: `element` of node `node` overwritten with
+    /// `faulty_bits`, the suffix re-executed by [`Model::forward_from`].
+    fn dense_patched(
+        m: &Model,
+        node: NodeId,
+        element: usize,
+        faulty_bits: u32,
+        cache: &ActivationCache,
+    ) -> Tensor {
+        let patch =
+            ActPatch { and_mask: 0, or_mask: faulty_bits, ..ActPatch::identity(node, element) };
+        let opts = &mut ForwardOptions::default();
+        m.forward_from(None, cache, &[patch], opts).unwrap().into_logits(cache)
+    }
+
     /// Strikes `element` of node `node` with `faulty_bits` through
     /// `forward_delta_site` (at the given saturation) and asserts the
     /// outcome is indistinguishable from the dense patched forward:
@@ -966,11 +967,7 @@ mod tests {
         saturation: f64,
         ctx: &str,
     ) -> (ForwardOutcome, DeltaStats) {
-        let dense = m
-            .forward_patched(node, cache, |t| {
-                t.as_mut_slice()[element] = f32::from_bits(faulty_bits)
-            })
-            .unwrap();
+        let dense = dense_patched(m, node, element, faulty_bits, cache);
         let mut arena = ScratchArena::new();
         let (out, stats) = m
             .forward_delta_site(
@@ -1314,12 +1311,7 @@ mod tests {
             let golden = cache.get(node).unwrap();
             let element = golden.len() / 2;
             let faulty_bits = golden.as_slice()[element].to_bits() ^ (1 << 31);
-            let dense = m
-                .forward_patched(node, &cache, |t| {
-                    let s = t.as_mut_slice();
-                    s[element] = f32::from_bits(s[element].to_bits() ^ (1 << 31));
-                })
-                .unwrap();
+            let dense = dense_patched(&m, node, element, faulty_bits, &cache);
             for saturation in [0.0, DELTA_SATURATION_DEFAULT, 1.1] {
                 let mut arena = ScratchArena::new();
                 let (out, _) = m
@@ -1369,12 +1361,7 @@ mod tests {
         let input = Tensor::from_fn([1, 1, 4, 4], |i| (i as f32 * 0.3).cos());
         let cache = m.forward_cached(&input).unwrap();
         let faulty_bits = input.as_slice()[7].to_bits() ^ (0x5 << 20);
-        let dense = m
-            .forward_patched(0, &cache, |t| {
-                let s = t.as_mut_slice();
-                s[7] = f32::from_bits(s[7].to_bits() ^ (0x5 << 20));
-            })
-            .unwrap();
+        let dense = dense_patched(&m, 0, 7, faulty_bits, &cache);
         let (out, stats) =
             m.forward_delta_site(0, 7, faulty_bits, &cache, &mut DeltaOptions::default()).unwrap();
         match out {

@@ -7,12 +7,14 @@
 //!   with *fault-injectable* weight parameters (convolution and linear
 //!   weights) indexed by **weight layer** exactly as the paper's Tables I
 //!   and II count them;
-//! - [`Model`] — a topologically ordered operator graph with plain
-//!   [`forward`](Model::forward) inference, cached inference
-//!   ([`forward_cached`](Model::forward_cached)) and *incremental
+//! - [`Model`] — a topologically ordered operator graph with three forward
+//!   entry points: plain [`forward`](Model::forward) inference, cached
+//!   inference ([`forward_cached`](Model::forward_cached)) and *incremental
 //!   re-execution* ([`forward_from`](Model::forward_from)) that recomputes
-//!   only from the first node affected by a weight fault — the key
-//!   optimisation that makes million-fault campaigns tractable;
+//!   only from the first node a weight fault or an activation patch
+//!   affects, optionally stopping once the suffix provably reproduces the
+//!   golden run — the key optimisation that makes million-fault campaigns
+//!   tractable;
 //! - [`resnet`] / [`mobilenet`] — CIFAR-10 builders for **ResNet-20**
 //!   (20 weight layers, 268,336 weights) and **MobileNetV2** (54 weight
 //!   layers, 2,203,584 weights), with width multipliers for reduced-scale
@@ -62,6 +64,5 @@ pub use model::{
 pub use node::{Node, NodeId, NodeOp};
 pub use param::{ParamId, ParamKind, Parameter, ParameterStore, WeightLayer};
 pub use plan::{
-    BatchedOutcome, CompiledPlan, SessionState, StepCost, BATCHED_HEDGE_CONVERGENT,
-    BATCHED_HEDGE_MISMATCH,
+    BatchedOutcome, CompiledPlan, SessionState, BATCHED_HEDGE_CONVERGENT, BATCHED_HEDGE_MISMATCH,
 };

@@ -24,10 +24,10 @@ pub enum KernelPolicy {
     Naive,
 }
 
-/// Per-caller state threaded through the `*_with` forward variants.
+/// Per-caller state of a [`Model::forward_from`] pass.
 ///
-/// The plain [`Model::forward`]-family methods use the defaults (fast
-/// kernels, no arena, no pre-lowered panels).
+/// The defaults are fast kernels, no arena, no pre-lowered panels, no
+/// probe and no convergence check.
 #[derive(Default)]
 pub struct ForwardOptions<'a> {
     /// Kernel and allocation policy.
@@ -36,35 +36,34 @@ pub struct ForwardOptions<'a> {
     /// recycled into it when the pass finishes.
     pub arena: Option<&'a mut ScratchArena>,
     /// Pre-lowered im2col panels for one conv node. Consulted only when
-    /// that exact node is evaluated under [`KernelPolicy::Fast`]; the
-    /// caller asserts the panels were lowered from the value the node's
-    /// input holds during this pass.
+    /// that exact node is evaluated under [`KernelPolicy::Fast`] and the
+    /// pass carries no patches; the caller asserts the panels were lowered
+    /// from the value the node's input holds during this pass.
     pub lowered: Option<(NodeId, &'a LoweredConv)>,
     /// Output unit (conv out-channel / linear out-feature) through which
     /// the active weight fault reaches the *first dirty* node, when the
-    /// caller knows it (see [`Model::param_output_unit`]).
-    /// [`Model::forward_from_converging`] then evaluates only that unit of
-    /// the first dirty node — every other unit is a deterministic
-    /// recomputation from golden inputs and unfaulted weight rows, hence
-    /// bit-golden — deciding convergence (or materializing the node's full
-    /// activation) at a fraction of the node cost. Ignored by the
-    /// non-converging passes and by unsupported node kinds.
+    /// caller knows it (see [`Model::param_output_unit`]). A converging
+    /// pass then evaluates only that unit of the first dirty node — every
+    /// other unit is a deterministic recomputation from golden inputs and
+    /// unfaulted weight rows, hence bit-golden — deciding convergence (or
+    /// materializing the node's full activation) at a fraction of the node
+    /// cost. Read only when [`converge`](Self::converge) applies;
+    /// unsupported node kinds fall back to full evaluation.
     pub dirty_unit: Option<usize>,
-    /// Compiled execution plan for this model, when the caller holds one.
-    /// [`Model::forward_from_converging`] reads tensor lifetime (the plan's
-    /// `last_reader` table) from it instead of recomputing the
-    /// last-reader table per pass; the plan's global table agrees with the
-    /// per-pass one on every suffix node (all readers of a suffix node are
-    /// themselves suffix nodes).
-    pub plan: Option<&'a crate::plan::CompiledPlan>,
+    /// Check golden convergence after every recomputed node and stop with
+    /// [`ForwardOutcome::Converged`] once the suffix is provably golden.
+    /// Applies only to passes **without patches**: a patched pass always
+    /// returns [`ForwardOutcome::Logits`], bit-equal to the non-converging
+    /// pass.
+    pub converge: bool,
 }
 
-/// Outcome of a convergence-checking incremental forward pass
-/// ([`Model::forward_from_converging`]).
+/// Outcome of a [`Model::forward_from`] pass.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ForwardOutcome {
     /// The suffix diverged from the golden activations all the way to the
-    /// output; these are the recomputed logits.
+    /// output (or the pass did not check convergence); these are the
+    /// recomputed logits.
     Logits(Tensor),
     /// Node `at_node`'s recomputed activation was **bit-identical** to the
     /// cached golden one, so every downstream tensor — logits included —
@@ -76,9 +75,22 @@ pub enum ForwardOutcome {
     },
 }
 
-/// Result of the single-unit convergence probe
-/// ([`Model::forward_from_converging`] with
-/// [`ForwardOptions::dirty_unit`] set).
+impl ForwardOutcome {
+    /// The logits this pass observed: the recomputed ones, or — after
+    /// convergence — the golden logits in `cache`, which the skipped
+    /// suffix provably reproduces bit for bit.
+    pub fn into_logits(self, cache: &ActivationCache) -> Tensor {
+        match self {
+            ForwardOutcome::Logits(l) => l,
+            ForwardOutcome::Converged { .. } => {
+                cache.activations.last().expect("caches are nonempty").clone()
+            }
+        }
+    }
+}
+
+/// Result of the single-unit convergence probe (a converging
+/// [`Model::forward_from`] with [`ForwardOptions::dirty_unit`] set).
 enum ProbeOutcome {
     /// The node/op/options combination has no single-unit kernel; fall
     /// back to full evaluation.
@@ -92,28 +104,21 @@ enum ProbeOutcome {
 }
 
 /// Resolves node-output references during a forward pass: a clean prefix
-/// (cached activations), at most one overridden node, a (usually empty)
-/// list of additionally overridden nodes, and the recomputed suffix.
+/// (cached activations), a (usually empty) list of overridden prefix
+/// nodes, and the recomputed suffix.
 pub(crate) struct NodeValues<'a> {
     pub(crate) prefix: &'a [Tensor],
-    pub(crate) over: Option<(NodeId, &'a Tensor)>,
-    /// Patched activations for nodes that are *not* recomputed — the
-    /// accumulated-fault path ([`Model::forward_from_patched`]) corrupts
-    /// several prefix activations at once. Scanned linearly; campaigns
-    /// carry at most a handful of entries.
-    pub(crate) multi: &'a [(NodeId, Tensor)],
+    /// Values that replace prefix activations — patched golden values of
+    /// a transient fault, or golden rows gathered by the batched engine.
+    /// Scanned linearly; campaigns carry at most a handful of entries.
+    pub(crate) over: &'a [(NodeId, Tensor)],
     pub(crate) suffix_base: usize,
     pub(crate) suffix: &'a [Tensor],
 }
 
 impl NodeValues<'_> {
     fn get(&self, id: NodeId) -> &Tensor {
-        if let Some((n, t)) = self.over {
-            if n == id {
-                return t;
-            }
-        }
-        if let Some((_, t)) = self.multi.iter().find(|(n, _)| *n == id) {
+        if let Some((_, t)) = self.over.iter().find(|(n, _)| *n == id) {
             return t;
         }
         if id >= self.suffix_base {
@@ -121,6 +126,64 @@ impl NodeValues<'_> {
         } else {
             &self.prefix[id]
         }
+    }
+}
+
+/// Live-dirty bookkeeping of a converging suffix pass, shared by the dense
+/// pass and the delta engine.
+///
+/// Every operator is deterministic and bit-exact in its inputs, so the
+/// rest of a suffix is provably golden once **every activation it can
+/// still read** is bitwise-golden — stronger than "the current node
+/// matches": with skip connections (ResNet's residual `Add`) a later node
+/// may read an earlier recomputed activation that still differs (a
+/// diverged conv whose following ReLU clamped back to golden). A dirty
+/// (differs-from-golden) recomputed node therefore stays *live* until its
+/// last reader has been evaluated, and the pass may stop only when no
+/// live dirty node remains.
+pub(crate) struct LiveDirty {
+    /// `last_reader[i]` — the last suffix node that reads node `i` (`i`
+    /// itself when none does).
+    last_reader: Vec<NodeId>,
+    /// `expiring[id]` — live dirty nodes that die once node `id` has read
+    /// them for the last time.
+    expiring: Vec<u32>,
+    live: u32,
+}
+
+impl LiveDirty {
+    /// A tracker for a suffix starting at `start`: every reader of a
+    /// suffix node is itself a suffix node, so readers before `start` are
+    /// ignored.
+    pub(crate) fn new(nodes: &[Node], start: NodeId) -> Self {
+        let mut last_reader: Vec<NodeId> = (0..nodes.len()).collect();
+        for (id, node) in nodes.iter().enumerate().skip(start) {
+            for &inp in &node.inputs {
+                last_reader[inp] = id;
+            }
+        }
+        Self { last_reader, expiring: vec![0; nodes.len()], live: 0 }
+    }
+
+    /// Node `id` has read its inputs: dirty nodes last read here can no
+    /// longer influence the suffix.
+    pub(crate) fn consumed(&mut self, id: NodeId) {
+        self.live -= self.expiring[id];
+    }
+
+    /// Node `id`'s value differs from golden; it stays live until its last
+    /// reader has run.
+    pub(crate) fn dirty(&mut self, id: NodeId) {
+        let lr = self.last_reader[id];
+        if lr > id {
+            self.expiring[lr] += 1;
+            self.live += 1;
+        }
+    }
+
+    /// Whether no dirty value can still be read.
+    pub(crate) fn clear(&self) -> bool {
+        self.live == 0
     }
 }
 
@@ -507,56 +570,21 @@ impl Model {
         Ok(out)
     }
 
-    /// Runs inference, returning the logits of the final node.
+    /// Runs inference, returning the logits of the final node. The input is
+    /// the one-tensor prefix of the same suffix loop [`Model::forward_from`]
+    /// runs, so the two are bit-identical.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::InputShape`] for a mismatched input, or the first
     /// operator failure.
     pub fn forward(&self, input: &Tensor) -> Result<Tensor, NnError> {
-        self.forward_with(input, &mut ForwardOptions::default())
-    }
-
-    /// [`Model::forward`] with explicit [`ForwardOptions`] — the campaign
-    /// hot path threads a per-worker [`ScratchArena`] through here so conv
-    /// buffers and intermediate activations are recycled across faults.
-    ///
-    /// Bit-identical to [`Model::forward`] for every option combination.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Model::forward`].
-    pub fn forward_with(
-        &self,
-        input: &Tensor,
-        opts: &mut ForwardOptions<'_>,
-    ) -> Result<Tensor, NnError> {
         self.check_input(input)?;
-        let mut suffix: Vec<Tensor> = Vec::with_capacity(self.nodes.len().saturating_sub(1));
-        for id in 1..self.nodes.len() {
-            let v = self.eval_node_with(
-                id,
-                &NodeValues {
-                    prefix: &[],
-                    over: Some((0, input)),
-                    multi: &[],
-                    suffix_base: 1,
-                    suffix: &suffix,
-                },
-                opts,
-            )?;
-            suffix.push(v);
+        let prefix = std::slice::from_ref(input);
+        match self.suffix_pass(prefix, 1, &[], &mut ForwardOptions::default())? {
+            ForwardOutcome::Logits(l) => Ok(l),
+            ForwardOutcome::Converged { .. } => unreachable!("the pass does not converge"),
         }
-        let out = match suffix.pop() {
-            Some(t) => t,
-            None => input.clone(),
-        };
-        if let Some(arena) = opts.arena.as_deref_mut() {
-            for t in suffix {
-                arena.recycle(t.into_vec());
-            }
-        }
-        Ok(out)
     }
 
     /// Runs inference and returns every node's activation, for later
@@ -572,13 +600,7 @@ impl Model {
         for id in 1..self.nodes.len() {
             let v = self.eval_node_with(
                 id,
-                &NodeValues {
-                    prefix: &values,
-                    over: None,
-                    multi: &[],
-                    suffix_base: usize::MAX,
-                    suffix: &[],
-                },
+                &NodeValues { prefix: &values, over: &[], suffix_base: usize::MAX, suffix: &[] },
                 &mut ForwardOptions::default(),
             )?;
             values.push(v);
@@ -586,223 +608,166 @@ impl Model {
         Ok(ActivationCache { activations: values })
     }
 
-    /// Re-runs inference assuming every node **before** `first_dirty` still
-    /// has the activation recorded in `cache`.
+    /// Faulty inference on top of a golden activation cache: the one
+    /// primitive behind every dense SFI inference.
     ///
-    /// Nodes `>= first_dirty` are recomputed (reading cached values for
-    /// earlier inputs); the final node's output is returned. With
-    /// `first_dirty == 0` this degrades to a full forward pass over the
-    /// cached input.
+    /// - **Weight faults.** `first_dirty` names the first node whose
+    ///   *recomputation* differs — the faulted weight's node. Every node
+    ///   before it still holds its `cache` activation (a fault in the
+    ///   parameter consumed by node `d` cannot change any activation of a
+    ///   node `< d` in a topologically ordered graph), so only the suffix
+    ///   is recomputed. `Some(0)` recomputes every node from the cached
+    ///   input, bit-identical to [`Model::forward`] on that input. `None`
+    ///   means the parameters are golden.
+    /// - **Transient faults.** Each [`ActPatch`] corrupts one element of
+    ///   one node's activation *as produced during this inference*: a
+    ///   patch on a node before the recomputation start overrides its
+    ///   golden value; a patch on a recomputed node applies right after
+    ///   that node is evaluated (on top of an injected weight fault, if
+    ///   any). A patch on node 0 strikes the input image.
     ///
-    /// This is sound for weight faults: a fault in the parameter consumed by
-    /// node `d` cannot change any activation produced by nodes `< d` in a
-    /// topologically ordered graph.
+    /// Recomputation starts at `min(first_dirty, earliest patch + 1)`,
+    /// clamped to at least 1; a start past the last node returns the
+    /// golden logits (or the patched last node). `opts.lowered` feeds
+    /// cached im2col panels to one conv node, and
+    /// [`ForwardOptions::converge`] and [`ForwardOptions::dirty_unit`] arm
+    /// the golden-convergence early exit and its single-unit probe. All
+    /// three are read only when `patches` is empty: a patched value
+    /// invalidates panels lowered from golden inputs.
+    ///
+    /// # Convergence
+    ///
+    /// A converging pass compares each recomputed activation against the
+    /// cached golden one bit for bit (NaN payloads and signed zeros
+    /// included; the compare stops at the first difference). It returns
+    /// [`ForwardOutcome::Converged`] once a node matches while no dirty
+    /// value can still be read downstream — the live-dirty rule, which
+    /// keeps skip connections sound. When `dirty_unit` names the one output
+    /// unit the fault can reach, the first dirty node is decided by a
+    /// single-unit probe: one GEMM row instead of the full layer. On
+    /// divergence its activation is a golden clone with that unit
+    /// overwritten, bit-identical to full re-evaluation because no other
+    /// unit depends on the faulted weight row. Every intermediate tensor is
+    /// recycled into `opts.arena`.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::CacheMismatch`] when the cache does not cover this
-    /// model's node count, or the first operator failure.
+    /// model's node count or a patch names a node or element out of range,
+    /// or the first operator failure.
     pub fn forward_from(
         &self,
-        first_dirty: NodeId,
+        first_dirty: Option<NodeId>,
         cache: &ActivationCache,
-    ) -> Result<Tensor, NnError> {
-        self.forward_from_with(first_dirty, cache, &mut ForwardOptions::default())
-    }
-
-    /// [`Model::forward_from`] with explicit [`ForwardOptions`].
-    ///
-    /// When `opts.lowered` names the first dirty conv node, its im2col
-    /// lowering is skipped entirely and the cached panels feed the GEMM —
-    /// sound because incremental re-execution hands that node its *golden*
-    /// input, the exact value the panels were lowered from.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Model::forward_from`].
-    pub fn forward_from_with(
-        &self,
-        first_dirty: NodeId,
-        cache: &ActivationCache,
-        opts: &mut ForwardOptions<'_>,
-    ) -> Result<Tensor, NnError> {
-        if cache.activations.len() != self.nodes.len() {
-            return Err(NnError::CacheMismatch {
-                reason: format!(
-                    "cache holds {} activations, model has {} nodes",
-                    cache.activations.len(),
-                    self.nodes.len()
-                ),
-            });
-        }
-        let first_dirty = first_dirty.max(1);
-        if first_dirty >= self.nodes.len() {
-            return Ok(cache.activations.last().expect("nonempty").clone());
-        }
-        // Recomputed suffix values, indexed by id - first_dirty.
-        let mut fresh: Vec<Tensor> = Vec::with_capacity(self.nodes.len() - first_dirty);
-        for id in first_dirty..self.nodes.len() {
-            let v = self.eval_node_with(
-                id,
-                &NodeValues {
-                    prefix: &cache.activations,
-                    over: None,
-                    multi: &[],
-                    suffix_base: first_dirty,
-                    suffix: &fresh,
-                },
-                opts,
-            )?;
-            fresh.push(v);
-        }
-        let out = fresh.pop().expect("suffix is nonempty");
-        if let Some(arena) = opts.arena.as_deref_mut() {
-            for t in fresh {
-                arena.recycle(t.into_vec());
-            }
-        }
-        Ok(out)
-    }
-
-    /// [`Model::forward_from_with`] with a golden-convergence early exit:
-    /// after each recomputed node its activation is compared against the
-    /// cached golden one with a bitwise (`u32`-reinterpreted) slice compare,
-    /// and the pass stops with [`ForwardOutcome::Converged`] the moment they
-    /// match.
-    ///
-    /// Soundness: every operator is deterministic and bit-exact in its
-    /// inputs, so the skipped suffix is provably golden once **every
-    /// activation it can still read** is bitwise-golden. That is stronger
-    /// than "node `k` matches": with skip connections (ResNet's residual
-    /// `Add`) a node after `k` may read a recomputed activation *before*
-    /// `k` that still differs (a diverged conv whose following ReLU clamped
-    /// back to golden). The pass therefore tracks the set of *live dirty*
-    /// nodes — recomputed nodes that differ from golden and are read by at
-    /// least one node past the current one — and declares convergence only
-    /// when the current node matches and that set is empty. NaN payloads
-    /// and signed zeros compare by bits, so no approximation is involved.
-    ///
-    /// The comparison short-circuits on the first differing element, which
-    /// keeps the per-node overhead negligible for genuinely diverged
-    /// activations; a converged pass recycles every intermediate tensor
-    /// into `opts.arena`, so the next image's convergence checks reuse the
-    /// same scratch.
-    ///
-    /// When [`ForwardOptions::dirty_unit`] names the one output unit the
-    /// fault can reach, the first dirty node is decided by a *single-unit
-    /// probe* — one GEMM row instead of the full layer — and on divergence
-    /// its activation is materialized as a golden clone with that unit
-    /// overwritten, which is bit-identical to full re-evaluation because
-    /// no other unit of a conv/linear output depends on the faulted
-    /// weight row.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Model::forward_from`].
-    pub fn forward_from_converging(
-        &self,
-        first_dirty: NodeId,
-        cache: &ActivationCache,
+        patches: &[ActPatch],
         opts: &mut ForwardOptions<'_>,
     ) -> Result<ForwardOutcome, NnError> {
-        if cache.activations.len() != self.nodes.len() {
+        let n_nodes = self.nodes.len();
+        if cache.activations.len() != n_nodes {
             return Err(NnError::CacheMismatch {
                 reason: format!(
-                    "cache holds {} activations, model has {} nodes",
-                    cache.activations.len(),
-                    self.nodes.len()
+                    "cache holds {} activations, model has {n_nodes} nodes",
+                    cache.activations.len()
                 ),
             });
         }
-        let first_dirty = first_dirty.max(1);
-        if first_dirty >= self.nodes.len() {
-            return Ok(ForwardOutcome::Logits(cache.activations.last().expect("nonempty").clone()));
-        }
-        // For each node, the last node that reads its activation. A dirty
-        // (differs-from-golden) recomputed node stays "live" — and blocks
-        // convergence — until its last reader has been evaluated. A
-        // compiled plan supplies the table precomputed; it agrees with the
-        // per-pass computation on every index this pass consults (the
-        // first dirty node and later — all their readers are themselves at
-        // or after `first_dirty`).
-        let computed_last_reader;
-        let last_reader: &[NodeId] = match opts.plan {
-            Some(plan) if plan.len() == self.nodes.len() => plan.last_reader(),
-            _ => {
-                let mut lr: Vec<NodeId> = (0..self.nodes.len()).collect();
-                for (id, node) in self.nodes.iter().enumerate().skip(first_dirty) {
-                    for &inp in &node.inputs {
-                        lr[inp] = id;
-                    }
-                }
-                computed_last_reader = lr;
-                &computed_last_reader
+        for p in patches {
+            let Some(golden) = cache.activations.get(p.node) else {
+                return Err(NnError::CacheMismatch {
+                    reason: format!("patch names node {}, model has {n_nodes} nodes", p.node),
+                });
+            };
+            if p.element >= golden.len() {
+                return Err(NnError::CacheMismatch {
+                    reason: format!(
+                        "patch element {} out of range for node {} ({} elements)",
+                        p.element,
+                        p.node,
+                        golden.len()
+                    ),
+                });
             }
+        }
+        // A patched node is not recomputed — the corruption strikes its
+        // produced value — so a patch dirties the node after it.
+        let first_patched = patches.iter().map(|p| p.node + 1).min();
+        let Some(start) = first_dirty.into_iter().chain(first_patched).min() else {
+            return Ok(ForwardOutcome::Logits(cache.activations[n_nodes - 1].clone()));
         };
-        // expiring[id] = how many live dirty nodes die once node `id` has
-        // consumed them for the last time.
-        let mut expiring: Vec<u32> = vec![0; self.nodes.len()];
-        let mut live_dirty: u32 = 0;
-        let mut fresh: Vec<Tensor> = Vec::with_capacity(self.nodes.len() - first_dirty);
-        let mut start = first_dirty;
-        // Single-unit probe of the first dirty node: when the caller names
-        // the one output unit the fault can reach, evaluating just that
-        // unit decides the whole node — the rest of its activation is a
-        // deterministic recomputation from golden inputs and unfaulted
-        // weight rows, hence bit-golden.
-        if let Some(unit) = opts.dirty_unit {
-            match self.probe_dirty_unit(first_dirty, cache, unit, opts)? {
-                ProbeOutcome::Unsupported => {}
-                ProbeOutcome::Clean => {
-                    return Ok(ForwardOutcome::Converged { at_node: first_dirty });
+        let lowered = if patches.is_empty() { opts.lowered } else { opts.lowered.take() };
+        let out = self.suffix_pass(&cache.activations, start.max(1), patches, opts);
+        opts.lowered = lowered;
+        out
+    }
+
+    /// The one dense suffix loop: recomputes nodes `start..` on top of
+    /// `prefix` (the values of every node before `start`), applying
+    /// `patches` as [`Model::forward_from`] documents, and checks
+    /// convergence when `opts.converge` is set and `patches` is empty.
+    fn suffix_pass(
+        &self,
+        prefix: &[Tensor],
+        start: NodeId,
+        patches: &[ActPatch],
+        opts: &mut ForwardOptions<'_>,
+    ) -> Result<ForwardOutcome, NnError> {
+        let n_nodes = self.nodes.len();
+        // Patched golden activations of nodes before the recomputation
+        // start; patches at or past it apply to recomputed values below.
+        let mut over: Vec<(NodeId, Tensor)> = Vec::new();
+        for p in patches.iter().filter(|p| p.node < start) {
+            let i = match over.iter().position(|(n, _)| *n == p.node) {
+                Some(i) => i,
+                None => {
+                    over.push((p.node, prefix[p.node].clone()));
+                    over.len() - 1
                 }
+            };
+            let s = over[i].1.as_mut_slice();
+            s[p.element] = p.apply(s[p.element]);
+        }
+        if start >= n_nodes {
+            // Nothing to recompute: the (possibly patched) last node is
+            // the output.
+            let last = over.into_iter().find(|(n, _)| *n == n_nodes - 1);
+            return Ok(ForwardOutcome::Logits(match last {
+                Some((_, t)) => t,
+                None => prefix[n_nodes - 1].clone(),
+            }));
+        }
+        let converge = opts.converge && patches.is_empty();
+        let mut live = converge.then(|| LiveDirty::new(&self.nodes, start));
+        let mut fresh: Vec<Tensor> = Vec::with_capacity(n_nodes - start);
+        if let (Some(live), Some(unit)) = (live.as_mut(), opts.dirty_unit) {
+            match self.probe_dirty_unit(start, prefix, unit, opts)? {
+                ProbeOutcome::Unsupported => {}
+                ProbeOutcome::Clean => return Ok(ForwardOutcome::Converged { at_node: start }),
                 ProbeOutcome::Dirty(t) => {
-                    if last_reader[first_dirty] > first_dirty {
-                        expiring[last_reader[first_dirty]] += 1;
-                        live_dirty += 1;
-                    }
+                    live.dirty(start);
                     fresh.push(t);
-                    start = first_dirty + 1;
                 }
             }
         }
-        for id in start..self.nodes.len() {
-            let v = self.eval_node_with(
-                id,
-                &NodeValues {
-                    prefix: &cache.activations,
-                    over: None,
-                    multi: &[],
-                    suffix_base: first_dirty,
-                    suffix: &fresh,
-                },
-                opts,
-            )?;
-            // Node `id` has now read its inputs; dirty nodes last read here
-            // can no longer influence the suffix.
-            live_dirty -= expiring[id];
-            if v.bits_equal(&cache.activations[id]) {
-                if live_dirty == 0 {
-                    if let Some(arena) = opts.arena.as_deref_mut() {
-                        arena.recycle(v.into_vec());
-                        for t in fresh {
-                            arena.recycle(t.into_vec());
-                        }
-                    }
+        for id in start + fresh.len()..n_nodes {
+            let vals = NodeValues { prefix, over: &over, suffix_base: start, suffix: &fresh };
+            let mut v = self.eval_node_with(id, &vals, opts)?;
+            for p in patches.iter().filter(|p| p.node == id) {
+                let s = v.as_mut_slice();
+                s[p.element] = p.apply(s[p.element]);
+            }
+            if let Some(live) = live.as_mut() {
+                live.consumed(id);
+                if !v.bits_equal(&prefix[id]) {
+                    live.dirty(id);
+                } else if live.clear() {
+                    recycle(std::iter::once(v).chain(fresh), opts);
                     return Ok(ForwardOutcome::Converged { at_node: id });
                 }
-            } else if last_reader[id] > id {
-                expiring[last_reader[id]] += 1;
-                live_dirty += 1;
             }
             fresh.push(v);
         }
         let out = fresh.pop().expect("suffix is nonempty");
-        if let Some(arena) = opts.arena.as_deref_mut() {
-            for t in fresh {
-                arena.recycle(t.into_vec());
-            }
-        }
+        recycle(fresh, opts);
         Ok(ForwardOutcome::Logits(out))
     }
 
@@ -817,7 +782,7 @@ impl Model {
     fn probe_dirty_unit(
         &self,
         id: NodeId,
-        cache: &ActivationCache,
+        prefix: &[Tensor],
         unit: usize,
         opts: &mut ForwardOptions<'_>,
     ) -> Result<ProbeOutcome, NnError> {
@@ -828,7 +793,7 @@ impl Model {
         let node = &self.nodes[id];
         let param = |p: ParamId| &self.store.get(p).expect("validated at construction").tensor;
         let wrap = |source| NnError::Op { node: id, source };
-        let golden = &cache.activations[id];
+        let golden = &prefix[id];
         let vals: Vec<f32> = match &node.op {
             NodeOp::Conv { weight, bias, .. } => {
                 let Some((ln, low)) = opts.lowered else { return Ok(ProbeOutcome::Unsupported) };
@@ -846,7 +811,7 @@ impl Model {
                 .map_err(wrap)?
             }
             NodeOp::Linear { weight, bias } => {
-                let xv = &cache.activations[node.inputs[0]];
+                let xv = &prefix[node.inputs[0]];
                 let reshaped;
                 let x2 = if xv.shape().rank() == 2 {
                     xv
@@ -898,208 +863,6 @@ impl Model {
         let t = Tensor::from_vec(shape, data)
             .expect("materialized activation matches the golden shape");
         Ok(ProbeOutcome::Dirty(t))
-    }
-
-    /// Re-runs inference with node `node`'s cached activation replaced by
-    /// `patch(cached)` — the primitive behind *transient activation fault*
-    /// campaigns: a soft error strikes a feature map during one inference,
-    /// so the clean prefix up to (and including) the struck node is reused
-    /// from the golden cache and only the suffix is recomputed.
-    ///
-    /// With `node == 0` the patch applies to the input image itself.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::CacheMismatch`] when the cache does not cover
-    /// this model's nodes or `node` is out of range, or the first operator
-    /// failure.
-    pub fn forward_patched(
-        &self,
-        node: NodeId,
-        cache: &ActivationCache,
-        patch: impl FnOnce(&mut Tensor),
-    ) -> Result<Tensor, NnError> {
-        self.forward_patched_with(node, cache, patch, &mut ForwardOptions::default())
-    }
-
-    /// [`Model::forward_patched`] with explicit [`ForwardOptions`]
-    /// (`opts.lowered` is ignored here: a patched activation invalidates
-    /// any panels lowered downstream of it).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Model::forward_patched`].
-    pub fn forward_patched_with(
-        &self,
-        node: NodeId,
-        cache: &ActivationCache,
-        patch: impl FnOnce(&mut Tensor),
-        opts: &mut ForwardOptions<'_>,
-    ) -> Result<Tensor, NnError> {
-        if cache.activations.len() != self.nodes.len() {
-            return Err(NnError::CacheMismatch {
-                reason: format!(
-                    "cache holds {} activations, model has {} nodes",
-                    cache.activations.len(),
-                    self.nodes.len()
-                ),
-            });
-        }
-        if node >= self.nodes.len() {
-            return Err(NnError::CacheMismatch {
-                reason: format!("node {node} out of range ({} nodes)", self.nodes.len()),
-            });
-        }
-        let mut patched = cache.activations[node].clone();
-        patch(&mut patched);
-        if node + 1 == self.nodes.len() {
-            return Ok(patched);
-        }
-        // A patched value makes pre-lowered panels unsound; drop them.
-        let lowered = opts.lowered.take();
-        // Recompute the suffix, reading the patched value for `node` and
-        // cached values for everything else before it.
-        let mut fresh: Vec<Tensor> = Vec::with_capacity(self.nodes.len() - node - 1);
-        for id in node + 1..self.nodes.len() {
-            let v = self.eval_node_with(
-                id,
-                &NodeValues {
-                    prefix: &cache.activations,
-                    over: Some((node, &patched)),
-                    multi: &[],
-                    suffix_base: node + 1,
-                    suffix: &fresh,
-                },
-                opts,
-            )?;
-            fresh.push(v);
-        }
-        opts.lowered = lowered;
-        let out = fresh.pop().expect("suffix is nonempty");
-        if let Some(arena) = opts.arena.as_deref_mut() {
-            for t in fresh {
-                arena.recycle(t.into_vec());
-            }
-        }
-        Ok(out)
-    }
-
-    /// Accumulated-fault inference: re-runs from the earliest corrupted
-    /// value with any number of transient activation patches applied on top
-    /// of an (optional) weight fault already injected into the parameters.
-    ///
-    /// `weight_dirty` names the first node whose *recomputation* differs
-    /// (the faulted weight's node), exactly as in [`Model::forward_from`];
-    /// `None` means the parameters are golden. Each [`ActPatch`] corrupts
-    /// one element of one node's activation *as produced during this faulty
-    /// inference*: a patch on a node upstream of the recomputation start
-    /// applies to the cached golden activation, a patch on a recomputed
-    /// node applies to the freshly computed (possibly already faulty)
-    /// value. Patches never feed pre-lowered conv panels
-    /// (`opts.lowered` is ignored whenever `patches` is nonempty).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::CacheMismatch`] when the cache does not cover
-    /// this model's nodes or a patch site is out of range, or the first
-    /// operator failure.
-    pub fn forward_from_patched(
-        &self,
-        weight_dirty: Option<NodeId>,
-        cache: &ActivationCache,
-        patches: &[ActPatch],
-        opts: &mut ForwardOptions<'_>,
-    ) -> Result<Tensor, NnError> {
-        let n_nodes = self.nodes.len();
-        if cache.activations.len() != n_nodes {
-            return Err(NnError::CacheMismatch {
-                reason: format!(
-                    "cache holds {} activations, model has {n_nodes} nodes",
-                    cache.activations.len()
-                ),
-            });
-        }
-        for p in patches {
-            if p.node >= n_nodes {
-                return Err(NnError::CacheMismatch {
-                    reason: format!("patch names node {}, model has {n_nodes} nodes", p.node),
-                });
-            }
-            let len = cache.activations[p.node].len();
-            if p.element >= len {
-                return Err(NnError::CacheMismatch {
-                    reason: format!(
-                        "patch element {} out of range for node {} ({len} elements)",
-                        p.element, p.node
-                    ),
-                });
-            }
-        }
-        // Recomputation starts at the earliest node whose value can change:
-        // the weight fault's node, or the node right after the earliest
-        // patched activation (the patched node itself is not recomputed —
-        // the corruption strikes its produced value).
-        let min_patch = patches.iter().map(|p| p.node).min();
-        let start = match (weight_dirty, min_patch) {
-            (None, None) => return Ok(cache.activations.last().expect("nonempty").clone()),
-            (Some(w), None) => w.max(1),
-            (None, Some(p)) => p + 1,
-            (Some(w), Some(p)) => w.max(1).min(p + 1),
-        }
-        .min(n_nodes);
-        // Patched golden activations for nodes before the recomputation
-        // start; patches at or past it apply to recomputed values below.
-        let mut overrides: Vec<(NodeId, Tensor)> = Vec::new();
-        for p in patches.iter().filter(|p| p.node < start) {
-            let t = match overrides.iter_mut().find(|(n, _)| *n == p.node) {
-                Some((_, t)) => t,
-                None => {
-                    overrides.push((p.node, cache.activations[p.node].clone()));
-                    &mut overrides.last_mut().expect("just pushed").1
-                }
-            };
-            let s = t.as_mut_slice();
-            s[p.element] = p.apply(s[p.element]);
-        }
-        if start >= n_nodes {
-            // Only the final node was struck; its patched value is the output.
-            return Ok(match overrides.into_iter().find(|(n, _)| *n == n_nodes - 1) {
-                Some((_, t)) => t,
-                None => cache.activations.last().expect("nonempty").clone(),
-            });
-        }
-        // A corrupted activation upstream of a lowered conv makes the
-        // cached panels unsound; keep them only for pure weight faults.
-        let lowered = if patches.is_empty() { None } else { opts.lowered.take() };
-        let mut fresh: Vec<Tensor> = Vec::with_capacity(n_nodes - start);
-        for id in start..n_nodes {
-            let mut v = self.eval_node_with(
-                id,
-                &NodeValues {
-                    prefix: &cache.activations,
-                    over: None,
-                    multi: &overrides,
-                    suffix_base: start,
-                    suffix: &fresh,
-                },
-                opts,
-            )?;
-            for p in patches.iter().filter(|p| p.node == id) {
-                let s = v.as_mut_slice();
-                s[p.element] = p.apply(s[p.element]);
-            }
-            fresh.push(v);
-        }
-        if lowered.is_some() {
-            opts.lowered = lowered;
-        }
-        let out = fresh.pop().expect("suffix is nonempty");
-        if let Some(arena) = opts.arena.as_deref_mut() {
-            for t in fresh {
-                arena.recycle(t.into_vec());
-            }
-        }
-        Ok(out)
     }
 
     /// A human-readable summary: one line per weight layer with its name,
@@ -1199,6 +962,15 @@ pub struct LayerStats {
     pub max: f32,
 }
 
+/// Returns a pass's intermediate tensors to `opts.arena`, if it has one.
+fn recycle(tensors: impl IntoIterator<Item = Tensor>, opts: &mut ForwardOptions<'_>) {
+    if let Some(arena) = opts.arena.as_deref_mut() {
+        for t in tensors {
+            arena.recycle(t.into_vec());
+        }
+    }
+}
+
 /// Index of the maximum element, NaN-aware (see [`Tensor::argmax`]).
 pub(crate) fn argmax_slice(row: &[f32]) -> usize {
     let mut best = 0usize;
@@ -1248,6 +1020,53 @@ mod tests {
         Tensor::from_fn([1, 1, 4, 4], |i| (i as f32).sin())
     }
 
+    /// A non-converging [`Model::forward_from`] from `first_dirty` with no
+    /// patches, unwrapped to its logits.
+    fn rerun(m: &Model, first_dirty: NodeId, cache: &ActivationCache) -> Tensor {
+        let out = m.forward_from(Some(first_dirty), cache, &[], &mut ForwardOptions::default());
+        out.unwrap().into_logits(cache)
+    }
+
+    /// A patched [`Model::forward_from`] with default options, unwrapped.
+    fn patched(m: &Model, cache: &ActivationCache, patches: &[ActPatch]) -> Tensor {
+        let out = m.forward_from(None, cache, patches, &mut ForwardOptions::default());
+        out.unwrap().into_logits(cache)
+    }
+
+    /// A converging [`Model::forward_from`] from `first_dirty`.
+    fn converging(m: &Model, first_dirty: NodeId, cache: &ActivationCache) -> ForwardOutcome {
+        let opts = &mut ForwardOptions { converge: true, ..Default::default() };
+        m.forward_from(Some(first_dirty), cache, &[], opts).unwrap()
+    }
+
+    /// A patch that overwrites one element with `v`.
+    fn set(node: NodeId, element: usize, v: f32) -> ActPatch {
+        ActPatch { and_mask: 0, or_mask: v.to_bits(), ..ActPatch::identity(node, element) }
+    }
+
+    /// The patch oracle: a `forward_cached`-style walk over every node of
+    /// `m` from `input`, applying each patch to its node's value as soon as
+    /// that value is produced — the semantics `forward_from` promises,
+    /// without its suffix start, prefix reuse or override list.
+    fn patched_oracle(m: &Model, input: &Tensor, patches: &[ActPatch]) -> Tensor {
+        let mut values: Vec<Tensor> = Vec::new();
+        for id in 0..m.nodes().len() {
+            let mut v = if id == 0 {
+                input.clone()
+            } else {
+                let vals =
+                    NodeValues { prefix: &values, over: &[], suffix_base: usize::MAX, suffix: &[] };
+                m.eval_node_with(id, &vals, &mut ForwardOptions::default()).unwrap()
+            };
+            for p in patches.iter().filter(|p| p.node == id) {
+                let s = v.as_mut_slice();
+                s[p.element] = p.apply(s[p.element]);
+            }
+            values.push(v);
+        }
+        values.pop().unwrap()
+    }
+
     #[test]
     fn forward_produces_logits() {
         let m = tiny_model();
@@ -1278,7 +1097,7 @@ mod tests {
         let m = tiny_model();
         let input = tiny_input();
         let cache = m.forward_cached(&input).unwrap();
-        let out = m.forward_from(0, &cache).unwrap();
+        let out = rerun(&m, 0, &cache);
         assert_eq!(out, m.forward(&input).unwrap());
     }
 
@@ -1292,7 +1111,7 @@ mod tests {
         let fc = m.node_of_param(1).unwrap();
         assert_eq!(fc, 4);
         m.store_mut().get_mut(1).unwrap().tensor.as_mut_slice()[0] += 100.0;
-        let faulty = m.forward_from(fc, &cache).unwrap();
+        let faulty = rerun(&m, fc, &cache);
         assert!(golden.max_abs_diff(&faulty).unwrap() > 1.0);
         // And the cached prefix is genuinely reused: recompute-from-conv
         // gives the same answer.
@@ -1304,7 +1123,7 @@ mod tests {
     fn forward_from_past_end_returns_cached_output() {
         let m = tiny_model();
         let cache = m.forward_cached(&tiny_input()).unwrap();
-        let out = m.forward_from(999, &cache).unwrap();
+        let out = rerun(&m, 999, &cache);
         assert_eq!(out, *cache.get(cache.len() - 1).unwrap());
     }
 
@@ -1312,7 +1131,11 @@ mod tests {
     fn forward_from_rejects_foreign_cache() {
         let m = tiny_model();
         let cache = ActivationCache { activations: vec![Tensor::zeros([1])] };
-        assert!(matches!(m.forward_from(1, &cache), Err(NnError::CacheMismatch { .. })));
+        let opts = &mut ForwardOptions::default();
+        assert!(matches!(
+            m.forward_from(Some(1), &cache, &[], opts),
+            Err(NnError::CacheMismatch { .. })
+        ));
     }
 
     #[test]
@@ -1375,7 +1198,7 @@ mod tests {
     fn forward_patched_identity_matches_cached_output() {
         let m = tiny_model();
         let cache = m.forward_cached(&tiny_input()).unwrap();
-        let out = m.forward_patched(2, &cache, |_| {}).unwrap();
+        let out = patched(&m, &cache, &[ActPatch::identity(2, 0)]);
         assert_eq!(out, *cache.get(cache.len() - 1).unwrap());
     }
 
@@ -1388,9 +1211,9 @@ mod tests {
         // on the same modified image.
         let mut modified = input.clone();
         modified.as_mut_slice()[5] = 0.0;
-        let patched = m.forward_patched(0, &cache, |t| t.as_mut_slice()[5] = 0.0).unwrap();
+        let out = patched(&m, &cache, &[set(0, 5, 0.0)]);
         let direct = m.forward(&modified).unwrap();
-        assert!(patched.max_abs_diff(&direct).unwrap() < 1e-6);
+        assert!(out.max_abs_diff(&direct).unwrap() < 1e-6);
     }
 
     #[test]
@@ -1398,7 +1221,7 @@ mod tests {
         let m = tiny_model();
         let cache = m.forward_cached(&tiny_input()).unwrap();
         let last = m.nodes().len() - 1;
-        let out = m.forward_patched(last, &cache, |t| t.as_mut_slice()[0] = 99.0).unwrap();
+        let out = patched(&m, &cache, &[set(last, 0, 99.0)]);
         assert_eq!(out.as_slice()[0], 99.0);
     }
 
@@ -1407,13 +1230,9 @@ mod tests {
         let m = tiny_model();
         let cache = m.forward_cached(&tiny_input()).unwrap();
         let golden = cache.get(cache.len() - 1).unwrap().clone();
-        let corrupted = m
-            .forward_patched(1, &cache, |t| {
-                for v in t.as_mut_slice() {
-                    *v += 10.0;
-                }
-            })
-            .unwrap();
+        let shift: Vec<ActPatch> =
+            (cache.get(1).unwrap().iter().enumerate()).map(|(e, v)| set(1, e, v + 10.0)).collect();
+        let corrupted = patched(&m, &cache, &shift);
         assert!(golden.max_abs_diff(&corrupted).unwrap() > 0.1);
     }
 
@@ -1421,9 +1240,10 @@ mod tests {
     fn forward_patched_rejects_bad_node_and_cache() {
         let m = tiny_model();
         let cache = m.forward_cached(&tiny_input()).unwrap();
-        assert!(m.forward_patched(99, &cache, |_| {}).is_err());
+        let opts = &mut ForwardOptions::default();
+        assert!(m.forward_from(None, &cache, &[ActPatch::identity(99, 0)], opts).is_err());
         let foreign = ActivationCache { activations: vec![Tensor::zeros([1])] };
-        assert!(m.forward_patched(1, &foreign, |_| {}).is_err());
+        assert!(m.forward_from(None, &foreign, &[ActPatch::identity(1, 0)], opts).is_err());
     }
 
     #[test]
@@ -1435,22 +1255,15 @@ mod tests {
         // must match patching the input and node-2 value by hand.
         let p0 = ActPatch { xor_mask: 1 << 30, ..ActPatch::identity(0, 3) };
         let p2 = ActPatch { or_mask: 1 << 31, ..ActPatch::identity(2, 5) };
-        let out = m
-            .forward_from_patched(None, &cache, &[p0, p2], &mut ForwardOptions::default())
-            .unwrap();
-        // Reference: recompute by hand with a patched input cache, patching
-        // node 2's produced value mid-flight via forward_cached on the
-        // patched input then forward_patched at node 2.
+        let out = patched(&m, &cache, &[p0, p2]);
+        // Reference: the cache of the patched input, then node 2's patch
+        // as an override of that cache's prefix.
         let mut modified = input.clone();
         let s = modified.as_mut_slice();
         s[3] = p0.apply(s[3]);
         let faulty_cache = m.forward_cached(&modified).unwrap();
-        let direct = m
-            .forward_patched(2, &faulty_cache, |t| {
-                let s = t.as_mut_slice();
-                s[5] = p2.apply(s[5]);
-            })
-            .unwrap();
+        let direct = patched(&m, &faulty_cache, &[p2]);
+        assert!(out.bits_equal(&patched_oracle(&m, &input, &[p0, p2])), "patch oracle");
         assert!(
             out.as_slice().iter().zip(direct.as_slice()).all(|(a, b)| a.to_bits() == b.to_bits()),
             "accumulated patches diverge from sequential application"
@@ -1461,27 +1274,26 @@ mod tests {
     fn forward_from_patched_without_faults_returns_golden() {
         let m = tiny_model();
         let cache = m.forward_cached(&tiny_input()).unwrap();
-        let out =
-            m.forward_from_patched(None, &cache, &[], &mut ForwardOptions::default()).unwrap();
+        let out = patched(&m, &cache, &[]);
         assert!(out.bits_equal(cache.get(cache.len() - 1).unwrap()));
     }
 
     #[test]
-    fn forward_from_patched_single_patch_matches_forward_patched() {
+    fn forward_from_single_patch_matches_the_patch_oracle() {
         let m = tiny_model();
-        let cache = m.forward_cached(&tiny_input()).unwrap();
+        let input = tiny_input();
+        let cache = m.forward_cached(&input).unwrap();
         for node in 0..cache.len() {
             let patch = ActPatch { xor_mask: 1 << 22, ..ActPatch::identity(node, 1) };
-            let acc = m
-                .forward_from_patched(None, &cache, &[patch], &mut ForwardOptions::default())
-                .unwrap();
-            let single = m
-                .forward_patched(node, &cache, |t| {
-                    let s = t.as_mut_slice();
-                    s[1] = patch.apply(s[1]);
-                })
-                .unwrap();
-            assert!(acc.bits_equal(&single), "node {node}: single-patch paths disagree");
+            let oracle = patched_oracle(&m, &input, &[patch]);
+            // On the golden prefix (override) and on a recomputed node
+            // (applied after evaluation) alike.
+            let over = patched(&m, &cache, &[patch]);
+            assert!(over.bits_equal(&oracle), "node {node}: prefix patch diverges");
+            let opts = &mut ForwardOptions::default();
+            let recomputed = m.forward_from(Some(0), &cache, &[patch], opts).unwrap();
+            let recomputed = recomputed.into_logits(&cache);
+            assert!(recomputed.bits_equal(&oracle), "node {node}: recomputed patch diverges");
         }
     }
 
@@ -1490,13 +1302,16 @@ mod tests {
         let m = tiny_model();
         let cache = m.forward_cached(&tiny_input()).unwrap();
         let bad_node = ActPatch::identity(99, 0);
-        assert!(m
-            .forward_from_patched(None, &cache, &[bad_node], &mut ForwardOptions::default())
-            .is_err());
+        let opts = &mut ForwardOptions::default();
+        assert!(matches!(
+            m.forward_from(None, &cache, &[bad_node], opts),
+            Err(NnError::CacheMismatch { .. })
+        ));
         let bad_elem = ActPatch::identity(1, usize::MAX);
-        assert!(m
-            .forward_from_patched(None, &cache, &[bad_elem], &mut ForwardOptions::default())
-            .is_err());
+        assert!(matches!(
+            m.forward_from(Some(1), &cache, &[bad_elem], opts),
+            Err(NnError::CacheMismatch { .. })
+        ));
     }
 
     #[test]
@@ -1541,20 +1356,16 @@ mod tests {
     fn forward_policies_and_arena_are_bit_identical() {
         let m = tiny_model();
         let input = tiny_input();
+        let cache = m.forward_cached(&input).unwrap();
         let fast = m.forward(&input).unwrap();
-        let naive = m
-            .forward_with(
-                &input,
-                &mut ForwardOptions { policy: KernelPolicy::Naive, ..Default::default() },
-            )
-            .unwrap();
+        let naive_opts = &mut ForwardOptions { policy: KernelPolicy::Naive, ..Default::default() };
+        let naive = m.forward_from(Some(0), &cache, &[], naive_opts).unwrap().into_logits(&cache);
         assert_bits_equal(&fast, &naive, "fast vs naive");
         let mut arena = ScratchArena::new();
-        for round in 0..3 {
+        for _ in 0..3 {
             let opts = &mut ForwardOptions { arena: Some(&mut arena), ..Default::default() };
-            let with_arena = m.forward_with(&input, opts).unwrap();
-            assert_bits_equal(&fast, &with_arena, "arena round");
-            let _ = round;
+            let with_arena = m.forward_from(Some(0), &cache, &[], opts).unwrap();
+            assert_bits_equal(&fast, &with_arena.into_logits(&cache), "arena round");
         }
         assert!(arena.peak_bytes() > 0, "arena must have been used");
     }
@@ -1570,14 +1381,14 @@ mod tests {
         };
         let w = &m.store().get(weight).unwrap().tensor;
         let lowered = sfi_tensor::ops::im2col_lower(cache.get(0).unwrap(), w, cfg).unwrap();
-        let plain = m.forward_from(1, &cache).unwrap();
+        let plain = rerun(&m, 1, &cache);
         let mut arena = ScratchArena::new();
         let opts = &mut ForwardOptions {
             arena: Some(&mut arena),
             lowered: Some((1, &lowered)),
             ..Default::default()
         };
-        let fast = m.forward_from_with(1, &cache, opts).unwrap();
+        let fast = m.forward_from(Some(1), &cache, &[], opts).unwrap().into_logits(&cache);
         assert_bits_equal(&plain, &fast, "lowered forward_from");
     }
 
@@ -1588,8 +1399,9 @@ mod tests {
         let m = tiny_model();
         let cache = m.forward_cached(&tiny_input()).unwrap();
         let mut arena = ScratchArena::new();
-        let opts = &mut ForwardOptions { arena: Some(&mut arena), ..Default::default() };
-        let out = m.forward_from_converging(1, &cache, opts).unwrap();
+        let opts =
+            &mut ForwardOptions { arena: Some(&mut arena), converge: true, ..Default::default() };
+        let out = m.forward_from(Some(1), &cache, &[], opts).unwrap();
         assert_eq!(out, ForwardOutcome::Converged { at_node: 1 });
     }
 
@@ -1600,8 +1412,8 @@ mod tests {
         let cache = m.forward_cached(&input).unwrap();
         // A large conv-weight change diverges all the way to the logits.
         m.store_mut().get_mut(0).unwrap().tensor.as_mut_slice()[0] += 100.0;
-        let plain = m.forward_from(1, &cache).unwrap();
-        let out = m.forward_from_converging(1, &cache, &mut ForwardOptions::default()).unwrap();
+        let plain = rerun(&m, 1, &cache);
+        let out = converging(&m, 1, &cache);
         match out {
             ForwardOutcome::Logits(l) => assert_bits_equal(&plain, &l, "diverged logits"),
             ForwardOutcome::Converged { at_node } => panic!("spurious convergence at {at_node}"),
@@ -1623,8 +1435,7 @@ mod tests {
         let mut faulty = m.clone();
         // Weight 13 belongs to output channel 1 and is 0.4; keep it positive.
         faulty.store_mut().get_mut(0).unwrap().tensor.as_mut_slice()[13] *= 1.5;
-        let out =
-            faulty.forward_from_converging(1, &cache, &mut ForwardOptions::default()).unwrap();
+        let out = converging(&faulty, 1, &cache);
         assert_eq!(out, ForwardOutcome::Converged { at_node: 2 });
     }
 
@@ -1634,7 +1445,7 @@ mod tests {
         // the *conv* output directly. The ReLU activation matches golden
         // bit-for-bit, yet the still-dirty conv output flows around it —
         // stopping there would misclassify. Live-dirty tracking must keep
-        // the pass going and reproduce forward_from exactly.
+        // the pass going and reproduce the non-converging pass exactly.
         let mut store = ParameterStore::new();
         let w0 = store.push(
             "conv.weight",
@@ -1664,9 +1475,8 @@ mod tests {
         let refreshed = faulty.forward_cached(&input).unwrap();
         assert!(refreshed.get(2).unwrap().bits_equal(cache.get(2).unwrap()));
         assert!(!refreshed.get(1).unwrap().bits_equal(cache.get(1).unwrap()));
-        let plain = faulty.forward_from(1, &cache).unwrap();
-        let out =
-            faulty.forward_from_converging(1, &cache, &mut ForwardOptions::default()).unwrap();
+        let plain = rerun(&faulty, 1, &cache);
+        let out = converging(&faulty, 1, &cache);
         match out {
             ForwardOutcome::Logits(l) => assert_bits_equal(&plain, &l, "skip logits"),
             ForwardOutcome::Converged { at_node } => {
@@ -1675,7 +1485,7 @@ mod tests {
         }
     }
 
-    /// Runs `forward_from_converging` with and without the single-unit
+    /// Runs a converging `forward_from` with and without the single-unit
     /// probe armed and asserts the outcomes are indistinguishable.
     fn assert_probe_invisible(
         faulty: &Model,
@@ -1698,23 +1508,27 @@ mod tests {
         };
         let mut arena = ScratchArena::new();
         let probed = faulty
-            .forward_from_converging(
-                first_dirty,
+            .forward_from(
+                Some(first_dirty),
                 cache,
+                &[],
                 &mut ForwardOptions {
                     arena: Some(&mut arena),
                     lowered: lowered.as_ref().map(|l| (first_dirty, l)),
                     dirty_unit: Some(dirty_unit),
+                    converge: true,
                     ..Default::default()
                 },
             )
             .unwrap();
         let full = faulty
-            .forward_from_converging(
-                first_dirty,
+            .forward_from(
+                Some(first_dirty),
                 cache,
+                &[],
                 &mut ForwardOptions {
                     lowered: lowered.as_ref().map(|l| (first_dirty, l)),
+                    converge: true,
                     ..Default::default()
                 },
             )
@@ -1825,8 +1639,9 @@ mod tests {
     fn converging_forward_rejects_foreign_cache() {
         let m = tiny_model();
         let cache = ActivationCache { activations: vec![Tensor::zeros([1])] };
+        let opts = &mut ForwardOptions { converge: true, ..Default::default() };
         assert!(matches!(
-            m.forward_from_converging(1, &cache, &mut ForwardOptions::default()),
+            m.forward_from(Some(1), &cache, &[], opts),
             Err(NnError::CacheMismatch { .. })
         ));
     }
@@ -1835,10 +1650,85 @@ mod tests {
     fn forward_patched_with_arena_matches_plain() {
         let m = tiny_model();
         let cache = m.forward_cached(&tiny_input()).unwrap();
-        let plain = m.forward_patched(1, &cache, |t| t.as_mut_slice()[0] = 5.0).unwrap();
+        let plain = patched(&m, &cache, &[set(1, 0, 5.0)]);
         let mut arena = ScratchArena::new();
         let opts = &mut ForwardOptions { arena: Some(&mut arena), ..Default::default() };
-        let fast = m.forward_patched_with(1, &cache, |t| t.as_mut_slice()[0] = 5.0, opts).unwrap();
-        assert_bits_equal(&plain, &fast, "patched with arena");
+        let fast = m.forward_from(None, &cache, &[set(1, 0, 5.0)], opts).unwrap();
+        assert_bits_equal(&plain, &fast.into_logits(&cache), "patched with arena");
+    }
+
+    #[test]
+    fn converge_is_ignored_when_patches_are_present() {
+        // Patches on top of a diverging weight fault, and on the golden
+        // model — where the identity patch recomputes a golden suffix that
+        // a converging pass would stop at immediately. Patches disable
+        // convergence, so every pass returns logits bit-equal to the
+        // non-converging pass.
+        let m = tiny_model();
+        let cache = m.forward_cached(&tiny_input()).unwrap();
+        let mut faulty = m.clone();
+        faulty.store_mut().get_mut(0).unwrap().tensor.as_mut_slice()[0] += 100.0;
+        for (model, first_dirty) in [(&faulty, Some(1)), (&m, None)] {
+            for patch in [set(2, 3, 7.0), ActPatch::identity(1, 0), set(4, 0, 99.0)] {
+                let plain = model
+                    .forward_from(first_dirty, &cache, &[patch], &mut ForwardOptions::default())
+                    .unwrap();
+                let probe_unit = Some(0);
+                let opts = &mut ForwardOptions {
+                    converge: true,
+                    dirty_unit: probe_unit,
+                    ..Default::default()
+                };
+                let conv = model.forward_from(first_dirty, &cache, &[patch], opts).unwrap();
+                let (ForwardOutcome::Logits(a), ForwardOutcome::Logits(b)) = (&plain, &conv) else {
+                    panic!("a patched pass returned {conv:?}");
+                };
+                assert_bits_equal(a, b, "converge with patches");
+            }
+        }
+    }
+
+    #[test]
+    fn forward_from_zero_is_bit_equal_to_forward_on_non_finite_inputs() {
+        // NaN (with a payload), ±Inf and -0.0 in the image: recomputing
+        // every node from the cached input must reproduce `forward` bit for
+        // bit, on a plain chain and across a residual Add.
+        let skip = {
+            let mut store = ParameterStore::new();
+            let w0 = store.push(
+                "conv.weight",
+                ParamKind::Weight { layer: 0 },
+                Tensor::from_fn([2, 1, 3, 3], |i| (i as f32 - 9.0) * 0.1),
+            );
+            let w1 = store.push(
+                "fc.weight",
+                ParamKind::Weight { layer: 1 },
+                Tensor::from_fn([3, 2], |i| (i as f32 - 3.0) * 0.5),
+            );
+            let nodes = vec![
+                Node { op: NodeOp::Input, inputs: vec![] },
+                Node::unary(NodeOp::Conv { weight: w0, bias: None, cfg: Conv2dCfg::same(1) }, 0),
+                Node::unary(NodeOp::Relu, 1),
+                Node::binary(NodeOp::Add, 2, 1),
+                Node::unary(NodeOp::GlobalAvgPool, 3),
+                Node::unary(NodeOp::Linear { weight: w1, bias: None }, 4),
+            ];
+            Model::new("skip", nodes, store, vec![1, 4, 4]).unwrap()
+        };
+        let specials =
+            [f32::from_bits(0x7fc0_1234), f32::INFINITY, f32::NEG_INFINITY, -0.0, f32::NAN];
+        for m in [tiny_model(), skip] {
+            for (k, &special) in specials.iter().enumerate() {
+                let mut input = Tensor::from_fn([2, 1, 4, 4], |i| (i as f32 * 0.7).cos());
+                input.as_mut_slice()[k * 5] = special;
+                let cache = m.forward_cached(&input).unwrap();
+                let plain = m.forward(&input).unwrap();
+                assert_bits_equal(&rerun(&m, 0, &cache), &plain, "forward_from(Some(0))");
+                let mut arena = ScratchArena::new();
+                let opts = &mut ForwardOptions { arena: Some(&mut arena), ..Default::default() };
+                let out = m.forward_from(Some(0), &cache, &[], opts).unwrap();
+                assert_bits_equal(&out.into_logits(&cache), &plain, "with arena");
+            }
+        }
     }
 }

@@ -1,20 +1,19 @@
 //! Compiled execution plans: the explicit, analyzable form of a forward
 //! pass.
 //!
-//! [`Model`]'s forward variants historically re-derived scheduling facts on
-//! every call — topological order is implicit in node ids, tensor lifetime
-//! (who reads an activation last) was recomputed per pass, and the
-//! dense/sparse kernel choice hid behind runtime flags. [`CompiledPlan`]
-//! hoists all of that to compile time, once per `(model, eval set)`:
+//! The per-image dense pass ([`Model::forward_from`]) derives scheduling
+//! facts on every call — topological order is implicit in node ids, and
+//! tensor lifetime (who reads an activation last) is computed per pass.
+//! [`CompiledPlan`] hoists what the batched engine needs to compile time,
+//! once per `(model, eval set)`:
 //!
-//! - **step list with input/flush lists** — per node, who reads it last
-//!   ([`CompiledPlan::last_reader`]) and which activations die after each
-//!   step ([flush lists](CompiledPlan::flush_after)), driving arena
-//!   recycling at the earliest sound point;
-//! - **per-step cost estimates** ([`StepCost`]) — flop and element counts
-//!   that turn the batched-vs-per-image choice into a compile-time
-//!   decision ([`CompiledPlan::batched_profitable`]) instead of a runtime
-//!   floor;
+//! - **last readers and flush lists** — per node, who reads it last and
+//!   which activations die after each step, driving per-image live-dirty
+//!   tracking and arena recycling at the earliest sound point;
+//! - **measured engine costs** ([`CompiledPlan::calibrate`]) — per-node
+//!   dense and batched suffix timings that turn the batched-vs-per-image
+//!   choice into a per-plan decision
+//!   ([`CompiledPlan::batched_profitable`]) instead of a runtime floor;
 //! - **conv+bn(+relu) fusion groups** — batch-norm folds to a per-channel
 //!   `mul`+`add` whose coefficients come from the *same*
 //!   [`bn_channel_scale_shift`](sfi_tensor::ops::bn_channel_scale_shift)
@@ -49,15 +48,6 @@ use sfi_tensor::{ScratchArena, Shape, Tensor};
 use crate::model::NodeValues;
 use crate::{ActivationCache, ForwardOptions, Model, NnError, NodeId, NodeOp, ParamId};
 
-/// Compile-time cost estimate of one plan step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StepCost {
-    /// Estimated floating-point operations per evaluation image.
-    pub flops: u64,
-    /// Output elements per evaluation image (batch dimension excluded).
-    pub out_elems: usize,
-}
-
 /// One conv+bn(+relu) fusion group: the conv head, the folded batch-norm
 /// coefficients, and the optional activation, emitted as a single fused
 /// kernel by the batched engine.
@@ -84,16 +74,6 @@ impl FusedGroup {
     }
 }
 
-/// Maximum estimated dense-suffix flops (per image) for the batched
-/// eval-image engine to be the better dispatch **when no calibration is
-/// attached**. Small suffixes are per-call-overhead-dominated and batching
-/// the images into one GEMM per node wins (1.2-1.4x at reduced scales in
-/// BENCH_kernels.json); large suffixes are compute-bound — the per-image
-/// GEMMs already run at full arithmetic throughput. A calibrated plan
-/// replaces this constant with measured suffix costs (see
-/// [`CompiledPlan::batched_profitable`]).
-const BATCHED_MAX_SUFFIX_FLOPS: u64 = 2_000_000;
-
 /// Batched-engine hedge for faults that are *likely to mismatch* (sign and
 /// exponent bit flips): a critical fault under `AnyMismatch` stops the
 /// per-image loop after one mismatching image, while the batched pass
@@ -118,9 +98,10 @@ pub const BATCHED_HEDGE_CONVERGENT: f64 = 0.95;
 const CALIBRATION_REPS: usize = 3;
 
 /// A compiled execution plan for one [`Model`]: explicit topological step
-/// order, tensor lifetime, per-step costs, and fusion groups. Built once
-/// per `(model, eval set)` (shapes come from a golden activation cache) and
-/// shared read-only across campaign workers.
+/// order, tensor lifetime, fusion groups, and (once calibrated) measured
+/// per-node engine costs. Built once per `(model, eval set)` (shapes come
+/// from a golden activation cache) and shared read-only across campaign
+/// workers.
 #[derive(Debug, Clone)]
 pub struct CompiledPlan {
     n_nodes: usize,
@@ -129,14 +110,8 @@ pub struct CompiledPlan {
     last_reader: Vec<NodeId>,
     /// `flush[id]` — nodes whose activation dies once step `id` has run.
     flush: Vec<Vec<NodeId>>,
-    /// Per-node cost estimates (`cost[0]` is the input node: zero).
-    cost: Vec<StepCost>,
-    /// `suffix_flops[id]` — estimated dense flops of nodes `id..` per image.
-    suffix_flops: Vec<u64>,
     /// Fusion group index a conv node heads, if any.
     head: Vec<Option<usize>>,
-    /// Fusion group index a node is a *non-head* member of, if any.
-    member: Vec<Option<usize>>,
     groups: Vec<FusedGroup>,
     /// Conv nodes whose golden input lowers to im2col panels (depthwise
     /// convs dispatch to a direct kernel and never lower).
@@ -197,7 +172,7 @@ impl Calibration {
 }
 
 /// Result of a single-unit probe of the first dirty node on the batched
-/// path (mirrors the per-image probe in [`Model::forward_from_converging`]).
+/// path (mirrors the per-image probe of a converging [`Model::forward_from`]).
 enum BatchedProbe {
     /// No single-unit kernel for this node/op; fall back to full eval.
     Unsupported,
@@ -267,48 +242,19 @@ impl CompiledPlan {
             flush[last_reader[i]].push(i);
         }
         let param = |p: ParamId| &model.store().get(p).expect("validated at construction").tensor;
-        let mut cost = vec![StepCost::default(); n];
         let mut lowerable = vec![false; n];
         for (id, node) in nodes.iter().enumerate().skip(1) {
-            let out = cache.get(id).expect("cache covers all nodes");
-            let out_shape = out.shape();
-            let out_elems: usize = out_shape.dims()[1..].iter().product();
-            let flops = match &node.op {
-                NodeOp::Conv { weight, cfg, .. } => {
-                    let w = param(*weight);
-                    let k_len: usize = w.shape().dims()[1..].iter().product();
-                    let input = cache.get(node.inputs[0]).expect("cache covers all nodes");
-                    lowerable[id] = ops::conv2d_uses_lowering(input, w, *cfg);
-                    2 * k_len as u64 * out_elems as u64
-                }
-                NodeOp::Linear { weight, .. } => {
-                    let w = param(*weight);
-                    2 * w.shape().dims().iter().product::<usize>() as u64
-                }
-                NodeOp::BatchNorm { .. } => 2 * out_elems as u64,
-                NodeOp::AvgPool { kernel } | NodeOp::MaxPool { kernel } => {
-                    (kernel * kernel) as u64 * out_elems as u64
-                }
-                NodeOp::GlobalAvgPool => {
-                    let input = cache.get(node.inputs[0]).expect("cache covers all nodes");
-                    input.shape().dims()[1..].iter().product::<usize>() as u64
-                }
-                _ => out_elems as u64,
-            };
-            cost[id] = StepCost { flops, out_elems };
+            if let NodeOp::Conv { weight, cfg, .. } = &node.op {
+                let input = cache.get(node.inputs[0]).expect("cache covers all nodes");
+                lowerable[id] = ops::conv2d_uses_lowering(input, param(*weight), *cfg);
+            }
         }
-        let mut suffix_flops = vec![0u64; n + 1];
-        for id in (0..n).rev() {
-            suffix_flops[id] = suffix_flops[id + 1] + cost[id].flops;
-        }
-        suffix_flops.pop();
 
         // Fusion grouping: conv -> bn (-> relu/relu6) chains whose
         // intermediates have exactly one reader, in consecutive id order
         // (how every builder emits them). Single-reader is what makes it
         // sound to never materialize the intermediate activations.
         let mut head = vec![None; n];
-        let mut member = vec![None; n];
         let mut groups = Vec::new();
         for id in 1..n {
             if !lowerable[id] {
@@ -355,23 +301,8 @@ impl CompiledPlan {
             let gi = groups.len();
             groups.push(FusedGroup { conv: id, bn, act: act_node, activation, scale, shift });
             head[id] = Some(gi);
-            member[bn] = Some(gi);
-            if let Some(a) = act_node {
-                member[a] = Some(gi);
-            }
         }
-        Ok(Self {
-            n_nodes: n,
-            last_reader,
-            flush,
-            cost,
-            suffix_flops,
-            head,
-            member,
-            groups,
-            lowerable,
-            calibration: None,
-        })
+        Ok(Self { n_nodes: n, last_reader, flush, head, groups, lowerable, calibration: None })
     }
 
     /// Measures per-node dense and batched execution costs against the
@@ -410,8 +341,7 @@ impl CompiledPlan {
             for rep in 0..=CALIBRATION_REPS {
                 let vals = NodeValues {
                     prefix: caches[0].activations(),
-                    over: None,
-                    multi: &[],
+                    over: &[],
                     suffix_base: n,
                     suffix: &empty,
                 };
@@ -517,27 +447,6 @@ impl CompiledPlan {
         self.n_nodes
     }
 
-    /// Per-node last readers (tensor lifetime); `last_reader[i] == i` means
-    /// nothing reads node `i`.
-    pub fn last_reader(&self) -> &[NodeId] {
-        &self.last_reader
-    }
-
-    /// Nodes whose activations die once step `id` has executed.
-    pub fn flush_after(&self, id: NodeId) -> &[NodeId] {
-        &self.flush[id]
-    }
-
-    /// Compile-time cost estimate of step `id`.
-    pub fn step_cost(&self, id: NodeId) -> StepCost {
-        self.cost[id]
-    }
-
-    /// Estimated dense flops (per image) of re-executing nodes `id..`.
-    pub fn suffix_flops(&self, id: NodeId) -> u64 {
-        self.suffix_flops.get(id).copied().unwrap_or(0)
-    }
-
     /// Whether node `id` is a conv whose input lowers to im2col panels.
     pub fn is_lowerable_conv(&self, id: NodeId) -> bool {
         self.lowerable.get(id).copied().unwrap_or(false)
@@ -546,19 +455,6 @@ impl CompiledPlan {
     /// Number of conv+bn(+relu) fusion groups in the plan.
     pub fn fused_groups(&self) -> usize {
         self.groups.len()
-    }
-
-    /// The fusion group node `id` belongs to, as `(head conv, group
-    /// output)`, when the plan fused it into one.
-    pub fn fusion_of(&self, id: NodeId) -> Option<(NodeId, NodeId)> {
-        let gi = self
-            .head
-            .get(id)
-            .copied()
-            .flatten()
-            .or_else(|| self.member.get(id).copied().flatten())?;
-        let g = &self.groups[gi];
-        Some((g.conv, g.output()))
     }
 
     /// The compile-time batched-vs-per-image decision for a fault whose
@@ -571,27 +467,22 @@ impl CompiledPlan {
     /// [`BATCHED_HEDGE_CONVERGENT`] for mantissa flips (the loop pays
     /// nearly the full per-image bill). Because both sides are measured —
     /// including the batched pass's own panel-build and scatter overhead —
-    /// a last-node fault whose suffix is one cheap classifier GEMM is no
-    /// longer trivially batched: it is selected only if the batched row
-    /// really beats the per-image rows, fixing the `suffix_flops <=
-    /// BATCHED_MAX_SUFFIX_FLOPS` floor that was vacuously true near the
-    /// output. Uncalibrated plans keep the static threshold.
-    /// Classifications and inference counts are identical on both sides of
-    /// the decision.
+    /// a last-node fault whose suffix is one cheap classifier GEMM is
+    /// selected only if the batched row really beats the per-image rows.
+    /// An uncalibrated plan never selects the batched engine (the executor
+    /// batches only on a golden reference built `with_lowering`, which
+    /// always calibrates). Classifications and inference counts are
+    /// identical on both sides of the decision.
     pub fn batched_profitable(&self, first_dirty: NodeId, hedge: f64) -> bool {
+        let Some(cal) = &self.calibration else { return false };
         if first_dirty >= self.n_nodes {
             return false;
         }
-        match &self.calibration {
-            Some(cal) => {
-                // Marginal cost: the session shares the first-dirty panel
-                // across a stratum, so all but one fault skip its build.
-                let marginal =
-                    (cal.batched_suffix_secs(first_dirty) - cal.panel_secs(first_dirty)).max(0.0);
-                marginal < hedge * cal.images as f64 * cal.dense_suffix_secs(first_dirty)
-            }
-            None => self.suffix_flops(first_dirty) <= BATCHED_MAX_SUFFIX_FLOPS,
-        }
+        // Marginal cost: the session shares the first-dirty panel across a
+        // stratum, so all but one fault skip its build.
+        let marginal =
+            (cal.batched_suffix_secs(first_dirty) - cal.panel_secs(first_dirty)).max(0.0);
+        marginal < hedge * cal.images as f64 * cal.dense_suffix_secs(first_dirty)
     }
 
     /// Runs the batched suffix from `first_dirty` over all evaluation
@@ -922,22 +813,17 @@ impl CompiledPlan {
             }
         }
         // Generic path: every golden prefix input this node reads is
-        // gathered into the surviving rows and passed through the `multi`
-        // override, so every operand agrees on the panel width and the
-        // (empty) prefix is never read.
+        // gathered into the surviving rows and passed as an override, so
+        // every operand agrees on the panel width and the (empty) prefix is
+        // never read.
         let mut over_rows: Vec<(NodeId, Tensor)> = Vec::new();
         for &inp in &node.inputs {
             if inp < first_dirty && !over_rows.iter().any(|(held, _)| *held == inp) {
                 over_rows.push((inp, gather_rows(caches, inp, rows, arena)));
             }
         }
-        let vals = NodeValues {
-            prefix: &[],
-            over: None,
-            multi: &over_rows,
-            suffix_base: first_dirty,
-            suffix: fresh,
-        };
+        let vals =
+            NodeValues { prefix: &[], over: &over_rows, suffix_base: first_dirty, suffix: fresh };
         let mut opts = ForwardOptions { arena: Some(arena), ..ForwardOptions::default() };
         let out = model.eval_node_with(id, &vals, &mut opts);
         for (_, t) in over_rows {
@@ -1211,13 +1097,13 @@ mod tests {
     fn compile_covers_every_node_and_orders_lifetimes() {
         let (model, _, plan) = setup();
         assert_eq!(plan.len(), model.nodes().len());
-        for (i, &lr) in plan.last_reader().iter().enumerate() {
+        for (i, &lr) in plan.last_reader.iter().enumerate() {
             assert!(lr >= i, "a reader never precedes its producer");
         }
         // Every non-final node dies exactly once across the flush lists.
         let mut flushed = vec![0usize; plan.len()];
         for id in 0..plan.len() {
-            for &dead in plan.flush_after(id) {
+            for &dead in &plan.flush[id] {
                 flushed[dead] += 1;
             }
         }
@@ -1239,15 +1125,6 @@ mod tests {
                 assert!(plan.is_lowerable_conv(id));
             }
         }
-    }
-
-    #[test]
-    fn suffix_flops_monotone_decreasing() {
-        let (_, _, plan) = setup();
-        for id in 1..plan.len() {
-            assert!(plan.suffix_flops(id - 1) >= plan.suffix_flops(id));
-        }
-        assert!(plan.suffix_flops(1) > 0);
     }
 
     /// One golden cache per image of the `[n, c, h, w]` batch `stacked`.
@@ -1312,12 +1189,14 @@ mod tests {
     fn calibration_switches_dispatch_to_measured_costs() {
         let (model, _, mut plan) = setup();
         assert!(plan.calibration().is_none());
+        // An uncalibrated plan never selects the batched engine.
+        assert!((1..plan.len()).all(|id| !plan.batched_profitable(id, f64::MAX)));
         let input = Tensor::from_fn([2, 3, 16, 16], |i| (i as f32 * 0.11).sin());
         let caches = per_image_caches(&model, &input);
         plan.calibrate(&model, &caches).unwrap();
         let cal = plan.calibration().expect("calibration attached");
         assert_eq!(cal.images(), 2);
-        // Suffix costs are monotone decreasing, like the flop estimates.
+        // Suffix costs are monotone decreasing.
         for id in 2..plan.len() {
             assert!(cal.dense_suffix_secs(id - 1) >= cal.dense_suffix_secs(id));
             assert!(cal.batched_suffix_secs(id - 1) >= cal.batched_suffix_secs(id));

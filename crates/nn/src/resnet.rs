@@ -236,7 +236,9 @@ mod tests {
         let target = &layers[10];
         let node = m.node_of_param(target.param).unwrap();
         m.store_mut().get_mut(target.param).unwrap().tensor.as_mut_slice()[3] = 2.5;
-        let incremental = m.forward_from(node, &cache).unwrap();
+        let opts = &mut crate::ForwardOptions::default();
+        let incremental = m.forward_from(Some(node), &cache, &[], opts).unwrap();
+        let incremental = incremental.into_logits(&cache);
         let full = m.forward(&input).unwrap();
         assert!(incremental.max_abs_diff(&full).unwrap() < 1e-5);
     }

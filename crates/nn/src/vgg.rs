@@ -155,7 +155,9 @@ mod tests {
         let info = m.weight_layers()[2].clone();
         let node = m.node_of_param(info.param).unwrap();
         m.store_mut().get_mut(info.param).unwrap().tensor.as_mut_slice()[7] = 3.0;
-        let incremental = m.forward_from(node, &cache).unwrap();
+        let opts = &mut crate::ForwardOptions::default();
+        let incremental = m.forward_from(Some(node), &cache, &[], opts).unwrap();
+        let incremental = incremental.into_logits(&cache);
         let full = m.forward(&input).unwrap();
         assert!(incremental.max_abs_diff(&full).unwrap() < 1e-5);
     }

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use sfi_nn::resnet::ResNetConfig;
-use sfi_nn::Model;
+use sfi_nn::{ForwardOptions, Model};
 use sfi_tensor::Tensor;
 
 fn tiny_model(seed: u64) -> Model {
@@ -39,7 +39,9 @@ proptest! {
         let node = m.node_of_param(info.param).unwrap();
         let idx = weight_pick % info.len;
         m.store_mut().get_mut(info.param).unwrap().tensor.as_mut_slice()[idx] += delta;
-        let incremental = m.forward_from(node, &cache).unwrap();
+        let opts = &mut ForwardOptions::default();
+        let incremental = m.forward_from(Some(node), &cache, &[], opts).unwrap();
+        let incremental = incremental.into_logits(&cache);
         let full = m.forward(&input).unwrap();
         prop_assert!(
             incremental.max_abs_diff(&full).unwrap() <= 1e-4,

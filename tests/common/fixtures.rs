@@ -28,8 +28,8 @@ use sfi_faultsim::multi::{AccumulatedFault, FaultTarget};
 use sfi_faultsim::population::FaultSpace;
 use sfi_nn::resnet::ResNetConfig;
 use sfi_nn::{
-    ActivationCache, DeltaOptions, DeltaStats, ForwardOptions, ForwardOutcome, Model, Node, NodeOp,
-    ParamKind, ParameterStore,
+    ActPatch, ActivationCache, DeltaOptions, DeltaStats, ForwardOptions, ForwardOutcome, Model,
+    Node, NodeOp, ParamKind, ParameterStore,
 };
 use sfi_tensor::ops::{self, Conv2dCfg};
 use sfi_tensor::{ScratchArena, Tensor};
@@ -252,7 +252,7 @@ pub fn random_accumulated_faults(
 /// with `faulty_bits` and asserts that delta propagation
 /// (`forward_delta_site` at `saturation`, with and without a scratch arena)
 /// observes exactly the inference the dense patched suffix re-execution
-/// (`forward_patched_with`) observes — bit-identical logits on divergence,
+/// (`forward_from` with one patch) observes — bit-identical logits on divergence,
 /// bit-golden dense logits on convergence. Returns the dense logits plus
 /// the delta pass's outcome and work counters.
 pub fn assert_site_delta_exact(
@@ -264,14 +264,11 @@ pub fn assert_site_delta_exact(
     saturation: f64,
     ctx: &str,
 ) -> (Tensor, ForwardOutcome, DeltaStats) {
+    let patch = ActPatch { and_mask: 0, or_mask: faulty_bits, ..ActPatch::identity(node, element) };
     let dense = model
-        .forward_patched_with(
-            node,
-            cache,
-            |t| t.as_mut_slice()[element] = f32::from_bits(faulty_bits),
-            &mut ForwardOptions::default(),
-        )
-        .unwrap();
+        .forward_from(None, cache, &[patch], &mut ForwardOptions::default())
+        .unwrap()
+        .into_logits(cache);
     let mut arena = ScratchArena::new();
     let mut opts = DeltaOptions { arena: Some(&mut arena), saturation };
     let (out, stats) =
@@ -473,12 +470,13 @@ pub fn random_small_input(seed: u64, model: &Model) -> Tensor {
 }
 
 /// The weight-fault differential forward oracle: asserts that dense
-/// incremental re-execution (`forward_from`) and the golden-convergence
-/// pass (`forward_from_converging`, fed the first dirty conv's golden-input
-/// lowering and, when given, the single-unit probe) observe the same faulty
-/// inference — bit-identical logits on divergence, a provably bit-golden
-/// suffix on convergence. Returns the dense logits and the converging
-/// outcome.
+/// incremental re-execution (a non-converging `forward_from`), the
+/// golden-convergence pass (a converging `forward_from`, fed the first dirty
+/// conv's golden-input lowering and, when given, the single-unit probe) and
+/// a from-scratch `forward_cached` of the faulted model observe the same
+/// faulty inference — bit-identical logits on divergence, a provably
+/// bit-golden suffix on convergence. Returns the dense logits and the
+/// converging outcome.
 pub fn assert_forward_equiv(
     faulty: &Model,
     first_dirty: usize,
@@ -502,11 +500,20 @@ pub fn assert_forward_equiv(
         }
         _ => None,
     };
-    let dense = faulty.forward_from(first_dirty, cache).unwrap();
+    let dense = faulty
+        .forward_from(Some(first_dirty), cache, &[], &mut ForwardOptions::default())
+        .unwrap()
+        .into_logits(cache);
+    let oracle = faulty.forward_cached(cache.get(0).unwrap()).unwrap();
+    assert!(
+        tensor_bits_equal(&dense, oracle.get(oracle.len() - 1).unwrap()),
+        "{ctx}: incremental re-execution diverges from the faulted model's full pass"
+    );
     let lowered_pair = lowered.as_ref().map(|l| (first_dirty, l));
 
-    let mut conv_opts = ForwardOptions { lowered: lowered_pair, dirty_unit, ..Default::default() };
-    let converging = faulty.forward_from_converging(first_dirty, cache, &mut conv_opts).unwrap();
+    let mut conv_opts =
+        ForwardOptions { lowered: lowered_pair, dirty_unit, converge: true, ..Default::default() };
+    let converging = faulty.forward_from(Some(first_dirty), cache, &[], &mut conv_opts).unwrap();
     match &converging {
         ForwardOutcome::Logits(l) => {
             assert!(

@@ -84,8 +84,13 @@ proptest! {
 
         // The per-image reference: dense incremental re-execution, exactly
         // what the per-image campaign path computes.
-        let dense: Vec<Tensor> =
-            caches.iter().map(|c| faulty.forward_from(first_dirty, c).unwrap()).collect();
+        let dense: Vec<Tensor> = caches
+            .iter()
+            .map(|c| {
+                let opts = &mut ForwardOptions::default();
+                faulty.forward_from(Some(first_dirty), c, &[], opts).unwrap().into_logits(c)
+            })
+            .collect();
 
         // Batched golden im2col panel of the first dirty conv, gathered
         // from the per-image caches exactly as the campaign executor's
@@ -168,12 +173,13 @@ proptest! {
         }
     }
 
-    /// Routing the legacy converging forward through the compiled plan's
-    /// global last-reader table (`ForwardOptions::plan`) changes nothing:
-    /// outcome and bits match the per-call lifetime computation on random
-    /// graphs under random weight faults.
+    /// The converging `forward_from` observes exactly what a from-scratch
+    /// `forward_cached` of the faulted model computes, on random graphs
+    /// under random weight faults: bit-identical logits on divergence, and
+    /// on convergence at node `k` a faulted activation at `k` and faulted
+    /// logits that both equal the golden bits.
     #[test]
-    fn plan_routed_forward_matches_legacy_on_random_graphs(
+    fn converging_forward_matches_forward_cached_on_random_graphs(
         seed in 0u64..1_000_000,
         param_pick in 0usize..8,
         elem_pick in 0usize..4096,
@@ -182,7 +188,6 @@ proptest! {
         let model = random_small_model(seed);
         let images = per_image_inputs(&model, 1, seed);
         let cache = model.forward_cached(&images[0]).unwrap();
-        let plan = CompiledPlan::compile(&model, &cache).unwrap();
 
         let weights = weight_params(&model);
         let pid = weights[param_pick % weights.len()];
@@ -195,19 +200,20 @@ proptest! {
         }
         let first_dirty = model.node_of_param(pid).unwrap();
 
-        let mut legacy_opts = ForwardOptions::default();
-        let legacy =
-            faulty.forward_from_converging(first_dirty, &cache, &mut legacy_opts).unwrap();
-        let mut plan_opts = ForwardOptions { plan: Some(&plan), ..Default::default() };
-        let routed =
-            faulty.forward_from_converging(first_dirty, &cache, &mut plan_opts).unwrap();
-        match (&legacy, &routed) {
-            (ForwardOutcome::Logits(a), ForwardOutcome::Logits(b)) => {
-                for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-                    prop_assert_eq!(x.to_bits(), y.to_bits(), "seed={} plan changed bits", seed);
+        let oracle = faulty.forward_cached(&images[0]).unwrap();
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let opts = &mut ForwardOptions { converge: true, ..Default::default() };
+        match faulty.forward_from(Some(first_dirty), &cache, &[], opts).unwrap() {
+            ForwardOutcome::Logits(l) => {
+                let want = oracle.get(oracle.len() - 1).unwrap();
+                prop_assert_eq!(bits(&l), bits(want), "seed={} logits diverge", seed);
+            }
+            ForwardOutcome::Converged { at_node } => {
+                for id in [at_node, oracle.len() - 1] {
+                    let (got, want) = (oracle.get(id).unwrap(), cache.get(id).unwrap());
+                    prop_assert_eq!(bits(got), bits(want), "seed={} node {} not golden", seed, id);
                 }
             }
-            (a, b) => prop_assert_eq!(a, b, "seed={} plan changed the outcome", seed),
         }
     }
 }
