@@ -1,7 +1,10 @@
 //! `kernels`: the inference fast-path benches. `gemm_kernels` compares the
 //! naive triple loop, the self-dispatching kernel, the register-tiled
 //! microkernel, and the retired packed row-blocked kernel on ResNet-20-
-//! and MobileNetV2-shaped im2col matrices; `campaign_fast_path` measures
+//! and MobileNetV2-shaped im2col matrices; `depthwise` times the
+//! production depthwise convolution (`conv2d_with`, the vectorised
+//! kernel) against the scalar `conv2d_direct` loop on MobileNetV2's
+//! depthwise shapes; `campaign_fast_path` measures
 //! the end-to-end bit-level campaign with the pre-optimisation path
 //! (naive kernels, no lowering cache) against the per-image fast path
 //! (dispatched GEMM, cached lowerings, scratch arenas) and the
@@ -13,8 +16,9 @@
 //! With `--smoke` the binary runs a seconds-scale regression guard
 //! instead and exits non-zero if the dispatched GEMM is slower than the
 //! naive one at any shape, the microkernel is not the selected tier on
-//! the shapes it owns, or the batched campaign diverges from the
-//! per-image one (used by CI).
+//! the shapes it owns, the production depthwise kernel is slower than or
+//! not bit-identical to the scalar loop at any depthwise shape, or the
+//! batched campaign diverges from the per-image one (used by CI).
 
 use std::time::{Duration, Instant};
 
@@ -30,8 +34,10 @@ use sfi_faultsim::population::FaultSpace;
 use sfi_nn::{KernelPolicy, BATCHED_HEDGE_CONVERGENT};
 use sfi_stats::sampling::sample_without_replacement;
 use sfi_tensor::ops::{
-    gemm, gemm_blocked_with, gemm_micro, gemm_packed_rows, gemm_selected_kernel,
+    conv2d_direct, conv2d_with, gemm, gemm_blocked_with, gemm_micro, gemm_packed_rows,
+    gemm_selected_kernel, Conv2dCfg,
 };
+use sfi_tensor::{ScratchArena, Tensor};
 
 /// PR 9's recorded end-to-end per-image fast path on the full-scale
 /// bit-level campaign (`fast_cached_mean_s` in that PR's
@@ -49,10 +55,10 @@ const PR9_FAST_CACHED_MEAN_S: f64 = 0.595611;
 /// where a row-blocked kernel once regressed to 0.74x and the dispatch
 /// must stay on the naive loop. The `mbv2-pw` family is MobileNetV2's
 /// 1x1 pointwise convolutions (expansion and projection, early 32x32
-/// stages through the final 1280-channel head at 4x4); `mbv2-dw` is its
-/// per-channel 3x3 depthwise GEMM, degenerate (`m = 1`, `k = 9`) and far
-/// below every blocking threshold — the dispatch must not pack there.
-const SHAPES: [(&str, usize, usize, usize); 12] = [
+/// stages through the final 1280-channel head at 4x4). MobileNetV2's 3x3
+/// depthwise convolutions take no GEMM at all — they run the vectorised
+/// depthwise kernel, timed by [`DW_SHAPES`].
+const SHAPES: [(&str, usize, usize, usize); 10] = [
     ("resnet20", 16, 144, 1024),
     ("resnet20", 16, 144, 256),
     ("resnet20", 32, 288, 256),
@@ -63,9 +69,85 @@ const SHAPES: [(&str, usize, usize, usize); 12] = [
     ("mbv2-pw", 24, 96, 1024),
     ("mbv2-pw", 192, 32, 256),
     ("mbv2-pw", 1280, 320, 16),
-    ("mbv2-dw", 1, 9, 1024),
-    ("mbv2-dw", 1, 9, 64),
 ];
+
+/// MobileNetV2's 3x3 depthwise convolutions at CIFAR resolution, one image:
+/// `(channels, height, width, stride)` of the input. One row per plane
+/// size the network runs, plus the stride-2 entry into stage 2.
+const DW_SHAPES: [(usize, usize, usize, usize); 5] =
+    [(144, 32, 32, 1), (144, 32, 32, 2), (192, 16, 16, 1), (576, 8, 8, 1), (960, 4, 4, 1)];
+
+/// Every depthwise node of the full-width CIFAR MobileNetV2 (17, one per
+/// inverted-residual block), in network order, as `(channels, height,
+/// width, stride)` of its input.
+const DW_NODES: [(usize, usize, usize, usize); 17] = [
+    (32, 32, 32, 1),
+    (96, 32, 32, 1),
+    (144, 32, 32, 1),
+    (144, 32, 32, 2),
+    (192, 16, 16, 1),
+    (192, 16, 16, 1),
+    (192, 16, 16, 2),
+    (384, 8, 8, 1),
+    (384, 8, 8, 1),
+    (384, 8, 8, 1),
+    (384, 8, 8, 1),
+    (576, 8, 8, 1),
+    (576, 8, 8, 1),
+    (576, 8, 8, 2),
+    (960, 4, 4, 1),
+    (960, 4, 4, 1),
+    (960, 4, 4, 1),
+];
+
+/// Input, weight and configuration of one depthwise shape.
+fn depthwise_operands(
+    (c, h, w, stride): (usize, usize, usize, usize),
+) -> (Tensor, Tensor, Conv2dCfg) {
+    let input = Tensor::from_vec([1, c, h, w], filled(c * h * w, 3)).unwrap();
+    let weight = Tensor::from_vec([c, 1, 3, 3], filled(c * 9, 4)).unwrap();
+    (input, weight, Conv2dCfg::same(stride).with_groups(c))
+}
+
+/// Minimum times of the scalar `conv2d_direct` loop and the production
+/// arena-backed depthwise kernel on one shape, measured in interleaved
+/// rounds, plus whether their outputs agree bit for bit.
+fn time_depthwise(shape: (usize, usize, usize, usize), iters: usize, rounds: usize) -> DwTiming {
+    let (input, weight, cfg) = depthwise_operands(shape);
+    let mut arena = ScratchArena::new();
+    let oracle = conv2d_direct(&input, &weight, None, cfg).unwrap();
+    let production = conv2d_with(&input, &weight, None, cfg, &mut arena).unwrap();
+    let bit_identical = oracle.bits_equal(&production);
+    arena.recycle(production.into_vec());
+    let (mut direct, mut fast) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..rounds {
+        direct = direct.min(min_secs(
+            || {
+                conv2d_direct(&input, &weight, None, cfg).unwrap();
+            },
+            iters,
+        ));
+        fast = fast.min(min_secs(
+            || {
+                let out = conv2d_with(&input, &weight, None, cfg, &mut arena).unwrap();
+                arena.recycle(out.into_vec());
+            },
+            iters,
+        ));
+    }
+    DwTiming { direct, production: fast, bit_identical }
+}
+
+/// One [`time_depthwise`] measurement.
+struct DwTiming {
+    direct: f64,
+    production: f64,
+    bit_identical: bool,
+}
+
+fn dw_label((c, h, w, stride): (usize, usize, usize, usize)) -> String {
+    format!("{c}x{h}x{w}/s{stride}")
+}
 
 /// Deterministic operand fill; no special values — throughput only, the
 /// bit-identity suite covers NaN/Inf.
@@ -136,6 +218,23 @@ fn bench_gemm(c: &mut Criterion) {
                 let mut out = vec![0.0f32; m * n];
                 gemm_packed_rows(m, k, n, &a, &b_mat, &mut out, &mut packed);
                 out
+            })
+        });
+    }
+    g.finish();
+    let mut g = c.benchmark_group("depthwise");
+    g.sample_size(10).measurement_time(Duration::from_secs(3));
+    for &shape in &DW_SHAPES {
+        let (input, weight, cfg) = depthwise_operands(shape);
+        let label = dw_label(shape);
+        g.bench_function(BenchmarkId::new("direct", &label), |b| {
+            b.iter(|| conv2d_direct(&input, &weight, None, cfg).unwrap())
+        });
+        g.bench_function(BenchmarkId::new("production", &label), |b| {
+            let mut arena = ScratchArena::new();
+            b.iter(|| {
+                let out = conv2d_with(&input, &weight, None, cfg, &mut arena).unwrap();
+                arena.recycle(out.into_vec());
             })
         });
     }
@@ -318,6 +417,34 @@ fn emit_bench_json() {
     let micro_meets_1_4x =
         largest_micro_speedups.len() == 2 && largest_micro_speedups.iter().all(|&s| s >= 1.4);
 
+    // Depthwise rows: the production kernel against the scalar loop it
+    // must match bit for bit, per representative shape and summed over
+    // all 17 depthwise nodes of one image. They carry their own host
+    // fingerprint (`depthwise_host`) so they can be re-recorded alone.
+    let dw_entries: Vec<String> = DW_SHAPES
+        .iter()
+        .map(|&shape| {
+            let t = time_depthwise(shape, GEMM_ITERS, GEMM_ROUNDS);
+            format!(
+                "    {{\"family\": \"mbv2-dw\", \"shape\": \"{}\", \"direct_min_s\": {:.9}, \
+                 \"production_min_s\": {:.9}, \"speedup\": {:.3}, \"bit_identical\": {}}}",
+                dw_label(shape),
+                t.direct,
+                t.production,
+                t.direct / t.production,
+                t.bit_identical
+            )
+        })
+        .collect();
+    let (mut dw_direct_total, mut dw_fast_total, mut dw_identical) = (0.0, 0.0, true);
+    for &shape in &DW_NODES {
+        let t = time_depthwise(shape, GEMM_ITERS, GEMM_ROUNDS);
+        dw_direct_total += t.direct;
+        dw_fast_total += t.production;
+        dw_identical &= t.bit_identical;
+    }
+    let dw_speedup = dw_direct_total / dw_fast_total;
+
     let baseline =
         run_campaign(model, data, &golden_plain, &faults, &naive_cfg(), &Ieee754Corruption)
             .unwrap();
@@ -372,7 +499,11 @@ fn emit_bench_json() {
          scale), bit-level plan over all 20 layers x 32 bits, {} faults, {} eval images\",\n  \
          \"gemm_iters_per_point\": {GEMM_ITERS},\n  \"campaign_iters_per_point\": \
          {CAMPAIGN_ITERS},\n  \"gemm\": [\n{}\n  ],\n  \"micro_meets_1_4x_on_two_largest\": \
-         {micro_meets_1_4x},\n  \"campaign\": {{\n    \"naive_uncached_mean_s\": {naive_s:.6},\n    \
+         {micro_meets_1_4x},\n  \"depthwise_host\": {},\n  \"depthwise\": [\n{}\n  ],\n  \
+         \"depthwise_17_nodes\": {{\
+         \"direct_min_s\": {dw_direct_total:.6}, \"production_min_s\": {dw_fast_total:.6}, \
+         \"speedup\": {dw_speedup:.3}, \"meets_4x\": {}, \"bit_identical\": {dw_identical}}},\n  \
+         \"campaign\": {{\n    \"naive_uncached_mean_s\": {naive_s:.6},\n    \
          \"fast_cached_mean_s\": {fast_s:.6},\n    \"batched_plan_mean_s\": {batched_s:.6},\n    \
          \"speedup\": {speedup:.3},\n    \"batched_vs_fast_speedup\": {batched_vs_fast:.3},\n    \
          \"batched_total_speedup\": {batched_total:.3},\n    \"pr9_fast_cached_mean_s\": \
@@ -385,6 +516,9 @@ fn emit_bench_json() {
         faults.len(),
         data.len(),
         gemm_entries.join(",\n"),
+        host_fingerprint(),
+        dw_entries.join(",\n"),
+        dw_speedup >= 4.0,
         e2e_vs_pr9 >= 1.3,
         speedup >= 1.5,
         batched_total >= 2.0,
@@ -462,6 +596,36 @@ fn smoke() -> i32 {
         if m >= 2 && selected != "micro" {
             eprintln!(
                 "FAIL: microkernel not selected at {family}/{m}x{k}x{n} (got \"{selected}\")"
+            );
+            status = 1;
+        }
+    }
+
+    // Depthwise gate: the production kernel must match the scalar loop bit
+    // for bit and must not be slower than it at any MobileNetV2 depthwise
+    // shape (10% tolerance, one re-measure, as for the GEMM rows).
+    for &shape in &DW_SHAPES {
+        let mut t = time_depthwise(shape, ITERS, 1);
+        if t.production > t.direct * 1.10 {
+            t = time_depthwise(shape, ITERS, 1);
+        }
+        println!(
+            "smoke depthwise mbv2-dw/{}: direct {:.1}us production {:.1}us (speedup {:.2}x)",
+            dw_label(shape),
+            t.direct * 1e6,
+            t.production * 1e6,
+            t.direct / t.production
+        );
+        if !t.bit_identical {
+            eprintln!("FAIL: depthwise kernel diverges from conv2d_direct at {}", dw_label(shape));
+            status = 1;
+        }
+        if t.production > t.direct * 1.10 {
+            eprintln!(
+                "FAIL: depthwise kernel slower than conv2d_direct at {}: {:.6}s vs {:.6}s",
+                dw_label(shape),
+                t.production,
+                t.direct
             );
             status = 1;
         }

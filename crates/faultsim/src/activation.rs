@@ -330,8 +330,9 @@ impl ActivationCampaignResult {
 /// # Errors
 ///
 /// Returns [`FaultSimError::EmptyEvalSet`] for an empty golden reference,
-/// [`FaultSimError::InvalidFault`] for a site outside the model/dataset, or
-/// the first inference failure.
+/// [`FaultSimError::EvalSetMismatch`] when the dataset and `golden` hold
+/// different numbers of images, [`FaultSimError::InvalidFault`] for a site
+/// outside the model/dataset, or the first inference failure.
 ///
 /// # Example
 ///
@@ -358,9 +359,7 @@ pub fn run_activation_campaign(
     golden: &GoldenReference,
     faults: &[ActivationFault],
 ) -> Result<ActivationCampaignResult, FaultSimError> {
-    if data.is_empty() || golden.len() == 0 {
-        return Err(FaultSimError::EmptyEvalSet);
-    }
+    golden.check_eval_set(data)?;
     let mut critical = Vec::with_capacity(faults.len());
     let mut inferences = 0u64;
     for fault in faults {

@@ -296,9 +296,10 @@ impl CampaignResult {
 ///
 /// # Errors
 ///
-/// Returns [`FaultSimError::EmptyEvalSet`] for an empty dataset, an
-/// injection error for a fault that does not fit the model, or the first
-/// inference failure.
+/// Returns [`FaultSimError::EmptyEvalSet`] for an empty dataset,
+/// [`FaultSimError::EvalSetMismatch`] when the dataset and `golden` hold
+/// different numbers of images, an injection error for a fault that does
+/// not fit the model, or the first inference failure.
 ///
 /// # Example
 ///
@@ -365,9 +366,7 @@ pub fn run_campaign_static<C: Corruption>(
     cfg: &CampaignConfig,
     corruption: &C,
 ) -> Result<CampaignResult, FaultSimError> {
-    if data.is_empty() || golden.len() == 0 {
-        return Err(FaultSimError::EmptyEvalSet);
-    }
+    golden.check_eval_set(data)?;
     let start = Instant::now();
     let hits0 = golden.lowering_hits();
     let misses0 = golden.lowering_misses();
@@ -689,5 +688,29 @@ mod tests {
             ),
             Err(FaultSimError::EmptyEvalSet)
         ));
+    }
+
+    #[test]
+    fn rejects_an_image_count_mismatch() {
+        // A golden reference built on fewer (or more) images than the
+        // dataset holds must be refused before any injection, not leave
+        // every worker to panic on a missing golden image.
+        let (model, data, golden) = setup();
+        let short_golden = GoldenReference::build(&model, &data.truncated(2)).unwrap();
+        let faults: Vec<Fault> = (0..4).map(|w| sa1(0, w, 30)).collect();
+        let cfg = CampaignConfig::default();
+        let mismatch = |dataset, golden| Err(FaultSimError::EvalSetMismatch { dataset, golden });
+        assert_eq!(
+            run_campaign(&model, &data, &short_golden, &faults, &cfg, &Ieee754Corruption),
+            mismatch(4, 2)
+        );
+        assert_eq!(
+            run_campaign_static(&model, &data, &short_golden, &faults, &cfg, &Ieee754Corruption),
+            mismatch(4, 2)
+        );
+        assert_eq!(
+            run_campaign(&model, &data.truncated(3), &golden, &faults, &cfg, &Ieee754Corruption),
+            mismatch(3, 4)
+        );
     }
 }

@@ -23,6 +23,14 @@ pub enum FaultSimError {
     },
     /// The campaign was given no evaluation images.
     EmptyEvalSet,
+    /// The evaluation set and the golden reference hold different numbers
+    /// of images, so some image has no golden activations or prediction.
+    EvalSetMismatch {
+        /// Images in the evaluation set.
+        dataset: usize,
+        /// Images the golden reference was built on.
+        golden: usize,
+    },
     /// One or more pool workers died without reporting their claimed
     /// faults (a non-unwinding death; panics are isolated and retried).
     WorkerLost {
@@ -66,6 +74,11 @@ impl fmt::Display for FaultSimError {
                 write!(f, "fault index {index} out of range for subpopulation of size {size}")
             }
             FaultSimError::EmptyEvalSet => write!(f, "evaluation set must not be empty"),
+            FaultSimError::EvalSetMismatch { dataset, golden } => write!(
+                f,
+                "evaluation set holds {dataset} image(s) but the golden reference was built on \
+                 {golden}"
+            ),
             FaultSimError::WorkerLost { missing } => {
                 write!(f, "campaign workers died with {missing} fault report(s) outstanding")
             }

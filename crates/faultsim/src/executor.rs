@@ -385,7 +385,9 @@ struct SessionStats {
 /// # Errors
 ///
 /// Returns [`FaultSimError::EmptyEvalSet`] for an empty dataset or golden
-/// reference; otherwise whatever `f` returns.
+/// reference, [`FaultSimError::EvalSetMismatch`] when their image counts
+/// differ (checked before any fault is injected); otherwise whatever `f`
+/// returns.
 pub fn with_executor<C, R, F>(
     model: &Model,
     data: &Dataset,
@@ -399,9 +401,7 @@ where
     C: Corruption,
     F: FnOnce(&mut CampaignExecutor<'_, C>) -> Result<R, FaultSimError>,
 {
-    if data.is_empty() || golden.len() == 0 {
-        return Err(FaultSimError::EmptyEvalSet);
-    }
+    golden.check_eval_set(data)?;
     let workers = cfg.workers.max(1);
     let stats = Arc::new(SessionStats::default());
     if workers == 1 {

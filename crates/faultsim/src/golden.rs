@@ -226,6 +226,23 @@ impl GoldenReference {
         self.predictions.len()
     }
 
+    /// Checks that `data` is a campaign's evaluation set for this
+    /// reference: nonempty, with one golden image per dataset image.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FaultSimError::EmptyEvalSet`] when either is empty, or
+    /// [`FaultSimError::EvalSetMismatch`] when their image counts differ.
+    pub fn check_eval_set(&self, data: &Dataset) -> Result<(), FaultSimError> {
+        if data.is_empty() || self.len() == 0 {
+            return Err(FaultSimError::EmptyEvalSet);
+        }
+        if data.len() != self.len() {
+            return Err(FaultSimError::EvalSetMismatch { dataset: data.len(), golden: self.len() });
+        }
+        Ok(())
+    }
+
     /// Golden top-1 prediction of image `idx`.
     ///
     /// # Panics

@@ -776,9 +776,11 @@ impl Model {
     /// the whole node, since the fault reaches no other unit — recomputed
     /// to golden bits; `Dirty` carries the node's full activation (a golden
     /// clone with the probed unit overwritten, bit-identical to a full
-    /// re-evaluation). `Unsupported` asks the caller to fall back to full
-    /// evaluation: the op has no single-unit kernel, the conv has no
-    /// cached lowering, or the naive cost-model policy is active.
+    /// re-evaluation). A depthwise conv computes the one channel from its
+    /// golden input plane; any other conv needs the cached lowering of its
+    /// input. `Unsupported` asks the caller to fall back to full
+    /// evaluation: the op has no single-unit kernel, a lowering conv has
+    /// no cached lowering, or the naive cost-model policy is active.
     fn probe_dirty_unit(
         &self,
         id: NodeId,
@@ -795,20 +797,37 @@ impl Model {
         let wrap = |source| NnError::Op { node: id, source };
         let golden = &prefix[id];
         let vals: Vec<f32> = match &node.op {
-            NodeOp::Conv { weight, bias, .. } => {
-                let Some((ln, low)) = opts.lowered else { return Ok(ProbeOutcome::Unsupported) };
+            NodeOp::Conv { weight, bias, cfg } => {
                 let w = param(*weight);
-                if ln != id || unit >= w.shape().n() {
+                let x = &prefix[node.inputs[0]];
+                if unit >= w.shape().n() {
                     return Ok(ProbeOutcome::Unsupported);
                 }
-                ops::conv2d_channel_from_lowered(
-                    low,
-                    w,
-                    bias.map(&param),
-                    unit,
-                    opts.arena.as_deref_mut(),
-                )
-                .map_err(wrap)?
+                if !ops::conv2d_uses_lowering(x, w, *cfg) {
+                    // Depthwise: channel `unit` reads only its own golden
+                    // input plane, so it needs no lowering.
+                    ops::conv2d_channel_depthwise(
+                        x,
+                        w,
+                        bias.map(&param),
+                        *cfg,
+                        unit,
+                        opts.arena.as_deref_mut(),
+                    )
+                    .map_err(wrap)?
+                } else {
+                    let Some((_, low)) = opts.lowered.filter(|&(ln, _)| ln == id) else {
+                        return Ok(ProbeOutcome::Unsupported);
+                    };
+                    ops::conv2d_channel_from_lowered(
+                        low,
+                        w,
+                        bias.map(&param),
+                        unit,
+                        opts.arena.as_deref_mut(),
+                    )
+                    .map_err(wrap)?
+                }
             }
             NodeOp::Linear { weight, bias } => {
                 let xv = &prefix[node.inputs[0]];
@@ -1495,15 +1514,14 @@ mod tests {
         ctx: &str,
     ) -> ForwardOutcome {
         let input = cache.get(0).unwrap();
+        // Campaigns cache lowerings only for convs that lower: a depthwise
+        // conv runs its own kernel and probes without panels.
         let lowered = match &faulty.nodes()[first_dirty].op {
-            NodeOp::Conv { weight, cfg, .. } => Some(
-                sfi_tensor::ops::im2col_lower(
-                    input,
-                    &faulty.store().get(*weight).unwrap().tensor,
-                    *cfg,
-                )
-                .unwrap(),
-            ),
+            NodeOp::Conv { weight, cfg, .. } => {
+                let w = &faulty.store().get(*weight).unwrap().tensor;
+                ops::conv2d_uses_lowering(input, w, *cfg)
+                    .then(|| ops::im2col_lower(input, w, *cfg).unwrap())
+            }
             _ => None,
         };
         let mut arena = ScratchArena::new();
@@ -1618,6 +1636,69 @@ mod tests {
         faulty.store_mut().get_mut(0).unwrap().tensor.as_mut_slice()[13] *= 1.5;
         let out = assert_probe_invisible(&faulty, 1, &cache, 1, "skip with probe");
         assert!(matches!(out, ForwardOutcome::Logits(_)));
+    }
+
+    /// Input -> depthwise conv (2 channels, stride 2) -> ReLU -> GAP -> fc.
+    fn depthwise_model() -> Model {
+        let mut store = ParameterStore::new();
+        let w0 = store.push(
+            "dw.weight",
+            ParamKind::Weight { layer: 0 },
+            Tensor::from_fn([2, 1, 3, 3], |i| (i as f32 - 8.0) * 0.15),
+        );
+        let w1 = store.push(
+            "fc.weight",
+            ParamKind::Weight { layer: 1 },
+            Tensor::from_fn([3, 2], |i| (i as f32 - 3.0) * 0.5),
+        );
+        let cfg = Conv2dCfg::same(2).with_groups(2);
+        let nodes = vec![
+            Node { op: NodeOp::Input, inputs: vec![] },
+            Node::unary(NodeOp::Conv { weight: w0, bias: None, cfg }, 0),
+            Node::unary(NodeOp::Relu, 1),
+            Node::unary(NodeOp::GlobalAvgPool, 2),
+            Node::unary(NodeOp::Linear { weight: w1, bias: None }, 3),
+        ];
+        Model::new("dw", nodes, store, vec![2, 5, 5]).unwrap()
+    }
+
+    #[test]
+    fn depthwise_probe_is_invisible() {
+        let m = depthwise_model();
+        let input = Tensor::from_fn([1, 2, 5, 5], |i| ((i * 7) % 11) as f32 * 0.2 - 0.9);
+        let cache = m.forward_cached(&input).unwrap();
+        // A diverging fault, and NaN / Inf on the corner tap that padded
+        // border pixels skip, in each channel.
+        for channel in 0..2 {
+            for (tap, v) in [(4, 9.0), (0, f32::NAN), (8, f32::INFINITY)] {
+                let mut faulty = m.clone();
+                let slot = &mut faulty.store_mut().get_mut(0).unwrap().tensor.as_mut_slice()
+                    [channel * 9 + tap];
+                *slot = if v == 9.0 { *slot + v } else { v };
+                let ctx = format!("depthwise channel {channel} tap {tap} = {v}");
+                let out = assert_probe_invisible(&faulty, 1, &cache, channel, &ctx);
+                assert!(matches!(out, ForwardOutcome::Logits(_)), "{ctx}");
+            }
+        }
+    }
+
+    #[test]
+    fn depthwise_probe_computes_only_the_named_channel() {
+        // A change in channel 1 while the probe is told channel 0: the
+        // one-channel probe never evaluates channel 1, so it declares the
+        // node golden at once, while a full re-evaluation sees channel 1
+        // differ.
+        let m = depthwise_model();
+        let input = Tensor::from_fn([1, 2, 5, 5], |i| ((i * 7) % 11) as f32 * 0.2 - 0.9);
+        let cache = m.forward_cached(&input).unwrap();
+        let mut changed = m.clone();
+        changed.store_mut().get_mut(0).unwrap().tensor.as_mut_slice()[9 + 4] += 1.0;
+        let run = |dirty_unit| {
+            let opts = &mut ForwardOptions { dirty_unit, converge: true, ..Default::default() };
+            changed.forward_from(Some(1), &cache, &[], opts).unwrap()
+        };
+        assert_eq!(run(Some(0)), ForwardOutcome::Converged { at_node: 1 });
+        assert_ne!(run(None), ForwardOutcome::Converged { at_node: 1 });
     }
 
     #[test]

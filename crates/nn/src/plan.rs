@@ -833,9 +833,10 @@ impl CompiledPlan {
     }
 
     /// Batched single-unit probe of the first dirty node: evaluates only
-    /// the faulted output unit for **all** images with one GEMM row over
-    /// the batched panel, and compares each image's unit against its own
-    /// golden activation bit-for-bit.
+    /// the faulted output unit for **all** images — one GEMM row over the
+    /// batched panel, or, for a depthwise conv, the one channel plane of
+    /// each image's golden input — and compares each image's unit against
+    /// its own golden activation bit-for-bit.
     fn probe_batched(
         &self,
         model: &Model,
@@ -850,14 +851,38 @@ impl CompiledPlan {
         let wrap = |source| NnError::Op { node: id, source };
         let batch = caches.len();
         let vals: Vec<f32> = match &node.op {
-            NodeOp::Conv { weight, bias, .. } => {
-                let Some(low) = lowered else { return Ok(BatchedProbe::Unsupported) };
+            NodeOp::Conv { weight, bias, cfg } => {
                 let w = param(*weight);
                 if unit >= w.shape().n() {
                     return Ok(BatchedProbe::Unsupported);
                 }
-                ops::conv2d_channel_batched(low, w, bias.map(&param), unit, Some(arena))
-                    .map_err(wrap)?
+                if !self.lowerable[id] {
+                    // Depthwise: channel `unit` of each image reads only its
+                    // own golden input plane, straight from the image's
+                    // cache — no panel, no gather.
+                    let spatial =
+                        caches[0].get(id).expect("cache covers all nodes").len() / w.shape().n();
+                    let mut vals = arena.take(batch * spatial);
+                    for (img, dst) in vals.chunks_exact_mut(spatial).enumerate() {
+                        let x = caches[img].get(node.inputs[0]).expect("cache covers all nodes");
+                        let row = ops::conv2d_channel_depthwise(
+                            x,
+                            w,
+                            bias.map(&param),
+                            *cfg,
+                            unit,
+                            Some(arena),
+                        )
+                        .map_err(wrap)?;
+                        dst.copy_from_slice(&row);
+                        arena.recycle(row);
+                    }
+                    vals
+                } else {
+                    let Some(low) = lowered else { return Ok(BatchedProbe::Unsupported) };
+                    ops::conv2d_channel_batched(low, w, bias.map(&param), unit, Some(arena))
+                        .map_err(wrap)?
+                }
             }
             NodeOp::Linear { weight, bias } => {
                 let w = param(*weight);

@@ -209,10 +209,16 @@ pub fn conv2d(
     conv2d_kernel(input, weight, bias, cfg, GemmKernel::Blocked)
 }
 
-/// [`conv2d`] with an explicit GEMM kernel choice.
+/// [`conv2d`] with an explicit kernel choice.
 ///
 /// Both kernels produce bit-identical results; `Naive` exists so the
-/// pre-optimization path stays measurable (benches, ablation baselines).
+/// pre-optimization path stays measurable (benches, ablation baselines)
+/// and serves as an independent oracle. Under `Naive` a depthwise shape
+/// runs the scalar [`conv2d_direct`] loop, which shares no code with the
+/// vectorised depthwise kernel `Blocked` dispatches to — both skip
+/// padded taps and accumulate each element's taps in the same order with
+/// the same `input * weight` operands, so they agree bit for bit (see
+/// DESIGN §5i).
 ///
 /// # Errors
 ///
@@ -225,15 +231,17 @@ pub fn conv2d_kernel(
     kernel: GemmKernel,
 ) -> Result<Tensor, TensorError> {
     let dims = validate(input, weight, bias, cfg)?;
-    if dims.is_depthwise(cfg) {
-        Ok(depthwise(input, weight, bias, cfg, &dims))
-    } else {
-        Ok(im2col_conv(input, weight, bias, cfg, &dims, kernel, None))
-    }
+    Ok(match (dims.is_depthwise(cfg), kernel) {
+        (true, GemmKernel::Blocked) => depthwise_tensor(input, weight, bias, cfg, &dims, None),
+        (true, GemmKernel::Naive) => direct(input, weight, bias, cfg, &dims),
+        (false, _) => im2col_conv(input, weight, bias, cfg, &dims, kernel, None),
+    })
 }
 
 /// [`conv2d`] drawing its column, packing, and output buffers from `arena`
-/// instead of the allocator — the campaign-worker hot path.
+/// instead of the allocator — the campaign-worker hot path. Depthwise
+/// shapes take their output and their phase-plane and grid scratch from
+/// the arena too.
 ///
 /// Bit-identical to [`conv2d`]; only buffer provenance differs.
 ///
@@ -249,7 +257,7 @@ pub fn conv2d_with(
 ) -> Result<Tensor, TensorError> {
     let dims = validate(input, weight, bias, cfg)?;
     if dims.is_depthwise(cfg) {
-        Ok(depthwise(input, weight, bias, cfg, &dims))
+        Ok(depthwise_tensor(input, weight, bias, cfg, &dims, Some(arena)))
     } else {
         Ok(im2col_conv(input, weight, bias, cfg, &dims, GemmKernel::Blocked, Some(arena)))
     }
@@ -257,11 +265,14 @@ pub fn conv2d_with(
 
 /// Reference direct (sextuple-loop) convolution.
 ///
-/// Retained as the test oracle and the baseline of the `ablation_conv`
-/// bench. Note that padded positions are *skipped* here while the `im2col`
-/// path multiplies them as explicit zeros — numerically identical for
-/// finite weights, but with NaN/Inf weights the paths legitimately differ
-/// at padded border pixels (`0.0 * NaN` is NaN).
+/// The test oracle, the baseline of the `ablation_conv` bench, and the
+/// depthwise kernel of [`GemmKernel::Naive`] (the reference path of the
+/// campaign benchmark). Padded positions are *skipped* here, as in the
+/// vectorised depthwise kernel, which it matches bit for bit on depthwise
+/// shapes. The `im2col` path instead multiplies padded positions as
+/// explicit zeros — numerically identical for finite weights, but with
+/// NaN/Inf weights the two families legitimately differ at padded border
+/// pixels (`0.0 * NaN` is NaN).
 ///
 /// # Errors
 ///
@@ -273,6 +284,16 @@ pub fn conv2d_direct(
     cfg: Conv2dCfg,
 ) -> Result<Tensor, TensorError> {
     let d = validate(input, weight, bias, cfg)?;
+    Ok(direct(input, weight, bias, cfg, &d))
+}
+
+fn direct(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    cfg: Conv2dCfg,
+    d: &ConvDims,
+) -> Tensor {
     let mut out = Tensor::zeros([d.batch, d.c_out, d.h_out, d.w_out]);
     let in_data = input.as_slice();
     let w_data = weight.as_slice();
@@ -311,7 +332,7 @@ pub fn conv2d_direct(
             }
         }
     }
-    Ok(out)
+    out
 }
 
 /// `im2col` + naive-GEMM convolution, exposed for the conv-strategy
@@ -1119,47 +1140,255 @@ fn im2col_conv(
         .expect("output length follows from conv dims")
 }
 
+/// Shape-only state of the depthwise kernel, shared by every channel plane
+/// of one call.
+///
+/// The kernel works on a *flattened grid*: output pixel `(oh, ow)` sits at
+/// grid index `oh * wq + ow`, where `wq` is the row width of the input's
+/// phase planes. Phase plane `(q, p)` holds the input pixels whose padded
+/// coordinates are `(a * stride + q, b * stride + p)` at index `a * wq + b`
+/// — at stride 1 the single plane is the padded input itself. Tap
+/// `(kh, kw)` of every output pixel then sits in plane
+/// `(kh % stride, kw % stride)` at the pixel's grid index plus one
+/// constant offset, so each tap is a single unit-stride sweep over the
+/// whole grid, at any stride and any plane size. Grid positions whose tap
+/// lies in the padding (and the `wq - w_out` junk columns of each grid
+/// row) are masked out of that sweep.
+struct DwGeometry {
+    stride: usize,
+    w_in: usize,
+    w_out: usize,
+    /// Row width of the phase planes and of the grid.
+    wq: usize,
+    /// Elements per phase plane, with slack for the largest tap offset.
+    plane: usize,
+    /// Grid elements: `h_out * wq`.
+    grid: usize,
+    /// Per tap, kh-major and kw-minor: (phase plane, offset into it).
+    taps: Vec<(usize, usize)>,
+    /// `taps.len()` rows of `grid` flags: the tap is in bounds there.
+    mask: Vec<bool>,
+    /// Per input row: where its phase-plane row starts.
+    row_at: Vec<usize>,
+    /// Per column phase `p`: the first input column `iw0` with
+    /// `(iw0 + pad) % stride == p`, where it lands within a phase-plane
+    /// row, and how many columns the phase holds.
+    col_phases: Vec<(usize, usize, usize)>,
+}
+
+impl DwGeometry {
+    fn new(d: &ConvDims, stride: usize) -> Self {
+        let (hp, wp) = (d.h_in + 2 * d.pad, d.w_in + 2 * d.pad);
+        let (hq, wq) = (hp.div_ceil(stride), wp.div_ceil(stride));
+        let grid = d.h_out * wq;
+        let mut taps = Vec::with_capacity(d.k_h * d.k_w);
+        let mut mask = vec![false; d.k_h * d.k_w * grid];
+        for kh in 0..d.k_h {
+            for kw in 0..d.k_w {
+                let row = &mut mask[taps.len() * grid..][..grid];
+                taps.push(((kh % stride) * stride + kw % stride, (kh / stride) * wq + kw / stride));
+                for oh in 0..d.h_out {
+                    let ih = (oh * stride + kh) as isize - d.pad as isize;
+                    if ih < 0 || ih as usize >= d.h_in {
+                        continue;
+                    }
+                    for ow in 0..d.w_out {
+                        let iw = (ow * stride + kw) as isize - d.pad as isize;
+                        row[oh * wq + ow] = iw >= 0 && (iw as usize) < d.w_in;
+                    }
+                }
+            }
+        }
+        let max_off = taps.iter().map(|&(_, off)| off).max().unwrap_or(0);
+        let plane = (hq * wq).max(grid + max_off);
+        let row_at = (d.pad..d.pad + d.h_in)
+            .map(|r| (r % stride) * stride * plane + (r / stride) * wq)
+            .collect();
+        let col_phases = (0..stride)
+            .filter_map(|p| {
+                let iw0 = (p + stride - d.pad % stride) % stride;
+                (iw0 < d.w_in).then(|| {
+                    (iw0, p * plane + (iw0 + d.pad) / stride, (d.w_in - iw0).div_ceil(stride))
+                })
+            })
+            .collect();
+        Self {
+            stride,
+            w_in: d.w_in,
+            w_out: d.w_out,
+            wq,
+            plane,
+            grid,
+            taps,
+            mask,
+            row_at,
+            col_phases,
+        }
+    }
+
+    /// Scratch elements [`depthwise_plane`] needs: the phase planes, then
+    /// the grid accumulator.
+    fn scratch_len(&self) -> usize {
+        self.stride * self.stride * self.plane + self.grid
+    }
+}
+
+/// Depthwise convolution of one channel plane.
+///
+/// The input is scattered into its phase planes, the grid accumulator is
+/// zeroed, and each tap — in kh-major, kw-minor order — adds `in * w` to
+/// every grid position where it is in bounds; the positions where it lies
+/// in the padding keep their accumulator unchanged (a select, not a
+/// multiply by zero). The output pixels are then read off the grid as
+/// `acc + base`. Every output element therefore receives exactly the taps
+/// of the scalar [`conv2d_direct`] loop, in the same order and with the
+/// same `input * weight` operands, and no FMA or horizontal sum: vector
+/// width only decides how many independent elements advance per
+/// instruction, so the result is bit-identical to the scalar loop.
+///
+/// `scratch` holds [`DwGeometry::scratch_len`] elements of unspecified
+/// contents: padding positions of the phase planes are never written and
+/// only ever read into masked-out lanes. Every element of `out` is
+/// written.
+///
+/// `#[inline(never)]` pins one compiled copy for the full and one-channel
+/// entry points, for the NaN-payload reasons documented on
+/// [`gemm`](super::gemm).
+#[inline(never)]
+fn depthwise_plane(
+    g: &DwGeometry,
+    in_chan: &[f32],
+    w_chan: &[f32],
+    base: f32,
+    scratch: &mut [f32],
+    out: &mut [f32],
+) {
+    let (s, wq) = (g.stride, g.wq);
+    let (planes, acc) = scratch.split_at_mut(s * s * g.plane);
+    let acc = &mut acc[..g.grid];
+    if g.w_in > 0 {
+        for (in_row, &row_at) in in_chan.chunks_exact(g.w_in).zip(&g.row_at) {
+            for &(iw0, col_at, n) in &g.col_phases {
+                let (dst, src) = (&mut planes[row_at + col_at..][..n], &in_row[iw0..]);
+                if s == 1 {
+                    dst.copy_from_slice(&src[..n]);
+                } else {
+                    for (b, d) in dst.iter_mut().enumerate() {
+                        *d = src[b * s];
+                    }
+                }
+            }
+        }
+    }
+    acc.fill(0.0);
+    for ((&(plane, off), &wv), mask) in g.taps.iter().zip(w_chan).zip(g.mask.chunks_exact(g.grid)) {
+        let src = &planes[plane * g.plane + off..][..g.grid];
+        for ((a, &x), &m) in acc.iter_mut().zip(src).zip(mask) {
+            *a = if m { *a + x * wv } else { *a };
+        }
+    }
+    for (out_row, acc_row) in out.chunks_exact_mut(g.w_out).zip(acc.chunks_exact(wq)) {
+        for (o, &a) in out_row.iter_mut().zip(acc_row) {
+            *o = a + base;
+        }
+    }
+}
+
+/// Runs [`depthwise_plane`] over `channels` of every image, returning
+/// `[batch][channels][h_out * w_out]` values — NCHW for all channels —
+/// drawn from `arena` when one is supplied. The plane kernel writes every
+/// output element and reads no scratch element it has not written, so
+/// stale arena buffers are safe.
 fn depthwise(
     input: &Tensor,
     weight: &Tensor,
     bias: Option<&Tensor>,
     cfg: Conv2dCfg,
     d: &ConvDims,
-) -> Tensor {
-    let mut out = Tensor::zeros([d.batch, d.c_out, d.h_out, d.w_out]);
-    let in_data = input.as_slice();
-    let w_data = weight.as_slice();
-    let out_data = out.as_mut_slice();
+    channels: std::ops::Range<usize>,
+    mut arena: Option<&mut ScratchArena>,
+) -> Vec<f32> {
+    let geo = DwGeometry::new(d, cfg.stride);
+    let (plane_in, plane_out, k_len) = (d.h_in * d.w_in, d.h_out * d.w_out, d.k_h * d.k_w);
+    let out_len = d.batch * channels.len() * plane_out;
+    let (mut out, mut scratch) = match arena.as_deref_mut() {
+        Some(a) => (a.take(out_len), a.take(geo.scratch_len())),
+        None => (vec![0.0f32; out_len], vec![0.0f32; geo.scratch_len()]),
+    };
+    let (in_data, w_data) = (input.as_slice(), weight.as_slice());
+    let mut out_planes = out.chunks_exact_mut(plane_out);
     for n in 0..d.batch {
-        for c in 0..d.c_in {
-            let in_chan = &in_data[(n * d.c_in + c) * d.h_in * d.w_in..][..d.h_in * d.w_in];
-            let w_chan = &w_data[c * d.k_h * d.k_w..][..d.k_h * d.k_w];
-            let base = bias.map_or(0.0, |b| b.as_slice()[c]);
-            let out_chan =
-                &mut out_data[(n * d.c_out + c) * d.h_out * d.w_out..][..d.h_out * d.w_out];
-            for oh in 0..d.h_out {
-                for ow in 0..d.w_out {
-                    let mut acc = 0.0f32;
-                    for kh in 0..d.k_h {
-                        let ih = (oh * cfg.stride + kh) as isize - d.pad as isize;
-                        if ih < 0 || ih as usize >= d.h_in {
-                            continue;
-                        }
-                        for kw in 0..d.k_w {
-                            let iw = (ow * cfg.stride + kw) as isize - d.pad as isize;
-                            if iw < 0 || iw as usize >= d.w_in {
-                                continue;
-                            }
-                            acc += in_chan[ih as usize * d.w_in + iw as usize]
-                                * w_chan[kh * d.k_w + kw];
-                        }
-                    }
-                    out_chan[oh * d.w_out + ow] = acc + base;
-                }
-            }
+        for c in channels.clone() {
+            depthwise_plane(
+                &geo,
+                &in_data[(n * d.c_in + c) * plane_in..][..plane_in],
+                &w_data[c * k_len..][..k_len],
+                bias.map_or(0.0, |b| b.as_slice()[c]),
+                &mut scratch,
+                out_planes.next().expect("output holds one plane per image and channel"),
+            );
         }
     }
+    if let Some(a) = arena {
+        a.recycle(scratch);
+    }
     out
+}
+
+/// [`depthwise`] over every channel, as the output tensor.
+fn depthwise_tensor(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    cfg: Conv2dCfg,
+    d: &ConvDims,
+    arena: Option<&mut ScratchArena>,
+) -> Tensor {
+    let out = depthwise(input, weight, bias, cfg, d, 0..d.c_out, arena);
+    Tensor::from_vec([d.batch, d.c_out, d.h_out, d.w_out], out)
+        .expect("output length follows from conv dims")
+}
+
+/// One output channel of a depthwise convolution, bit-identically: the
+/// depthwise plane kernel run over channel `channel` of every image only.
+/// Returns `batch * h_out * w_out` values laid out `[batch][spatial]` —
+/// the layout of [`conv2d_channel_from_lowered`] — drawn from `arena` when
+/// one is supplied (recycle the buffer when done).
+///
+/// This is the depthwise kernel behind the campaign's single-channel
+/// convergence probe: a weight fault in channel `c` of a depthwise conv
+/// can reach only output channel `c`, which reads only input channel `c`,
+/// so one plane (nine taps per pixel at 3x3) decides whole-node
+/// convergence, with no lowering. Bit identity with the full kernel holds
+/// because both run the same compiled plane kernel.
+///
+/// # Errors
+///
+/// Same conditions as [`conv2d`], plus [`TensorError::InvalidConfig`] when
+/// the convolution is not depthwise or `channel` is out of range.
+pub fn conv2d_channel_depthwise(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    cfg: Conv2dCfg,
+    channel: usize,
+    arena: Option<&mut ScratchArena>,
+) -> Result<Vec<f32>, TensorError> {
+    const OP: &str = "conv2d_channel_depthwise";
+    let d = validate(input, weight, bias, cfg)?;
+    if !d.is_depthwise(cfg) {
+        return Err(TensorError::InvalidConfig {
+            op: OP,
+            reason: "convolution is not depthwise".into(),
+        });
+    }
+    if channel >= d.c_out {
+        return Err(TensorError::InvalidConfig {
+            op: OP,
+            reason: format!("channel {channel} out of range for {} output channels", d.c_out),
+        });
+    }
+    Ok(depthwise(input, weight, bias, cfg, &d, channel..channel + 1, arena))
 }
 
 #[cfg(test)]
@@ -1220,10 +1449,12 @@ mod tests {
     fn depthwise_matches_direct() {
         let input = seq_tensor([1, 5, 6, 6]);
         let weight = seq_tensor([5, 1, 3, 3]);
-        let cfg = Conv2dCfg::same(1).with_groups(5);
-        let a = conv2d_direct(&input, &weight, None, cfg).unwrap();
-        let b = conv2d(&input, &weight, None, cfg).unwrap();
-        assert!(a.max_abs_diff(&b).unwrap() < 1e-4);
+        for stride in [1, 2] {
+            let cfg = Conv2dCfg::same(stride).with_groups(5);
+            let a = conv2d_direct(&input, &weight, None, cfg).unwrap();
+            let b = conv2d(&input, &weight, None, cfg).unwrap();
+            assert_bits_equal(&a, &b, "depthwise vs direct");
+        }
     }
 
     fn assert_bits_equal(a: &Tensor, b: &Tensor, what: &str) {

@@ -5,11 +5,15 @@
 //! lives. The set is exactly what the two case-study CNNs (ResNet-20,
 //! MobileNetV2) require:
 //!
-//! - [`conv2d`] (grouped / depthwise aware), with [`conv2d_direct`] and
-//!   [`conv2d_im2col`] exposed separately for the conv-strategy ablation
-//!   bench, [`conv2d_with`] for arena-backed buffers, and the
+//! - [`conv2d`] (grouped / depthwise aware: depthwise shapes run a
+//!   vectorised kernel that is bit-identical to the scalar
+//!   [`conv2d_direct`] loop), with [`conv2d_direct`] and [`conv2d_im2col`]
+//!   exposed separately for the conv-strategy ablation bench and as
+//!   oracles, [`conv2d_with`] for arena-backed buffers, the
 //!   [`im2col_lower`] / [`conv2d_from_lowered`] pair for campaign-level
-//!   column-matrix caching,
+//!   column-matrix caching, and the one-output-channel probe kernels
+//!   ([`conv2d_channel_from_lowered`], [`conv2d_channel_batched`],
+//!   [`conv2d_channel_depthwise`]),
 //! - [`linear`] fully-connected layers,
 //! - [`batch_norm`] in inference mode,
 //! - [`relu`], [`relu6`], [`softmax`],
@@ -36,10 +40,10 @@ pub mod grad;
 
 pub use activation::{relu, relu6, relu6_with, relu_with, softmax};
 pub use conv::{
-    conv2d, conv2d_batched_from_lowered, conv2d_channel_batched, conv2d_channel_from_lowered,
-    conv2d_direct, conv2d_from_lowered, conv2d_im2col, conv2d_kernel, conv2d_uses_lowering,
-    conv2d_with, im2col_lower, im2col_lower_batched, BatchedLowered, Conv2dCfg, ConvEpilogue,
-    FusedActivation, GemmKernel, LoweredConv, Padding,
+    conv2d, conv2d_batched_from_lowered, conv2d_channel_batched, conv2d_channel_depthwise,
+    conv2d_channel_from_lowered, conv2d_direct, conv2d_from_lowered, conv2d_im2col, conv2d_kernel,
+    conv2d_uses_lowering, conv2d_with, im2col_lower, im2col_lower_batched, BatchedLowered,
+    Conv2dCfg, ConvEpilogue, FusedActivation, GemmKernel, LoweredConv, Padding,
 };
 pub use elementwise::{add, add_with, downsample_pad_channels};
 pub use gemm::{gemm, gemm_blocked, gemm_blocked_with, gemm_packed_rows};

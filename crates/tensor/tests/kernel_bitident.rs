@@ -7,11 +7,13 @@
 //! kernels — including NaN payloads and signed infinities, which the
 //! fault-injection campaigns rely on for stable classifications.
 //!
-//! (`conv2d_direct` is deliberately absent here: it skips out-of-bounds
-//! taps instead of multiplying explicit padding zeros, which is only
-//! value-identical — not bit-identical — once NaN/Inf weights meet padded
-//! borders. The im2col family is the campaign path and must agree with
-//! itself exactly.)
+//! The depthwise family is pinned separately: the vectorised depthwise
+//! row kernel (`conv2d`, `conv2d_with`, the one-channel probe kernel)
+//! must be bit-identical to the scalar `conv2d_direct` loop. Both *skip*
+//! out-of-bounds taps, whereas the im2col family multiplies explicit
+//! padding zeros — so the two families are only value-identical to each
+//! other once NaN/Inf weights meet padded borders, and each is compared
+//! only against its own oracle.
 
 #[path = "../../../tests/common/fixtures.rs"]
 mod fixtures;
@@ -22,10 +24,11 @@ use proptest::prelude::*;
 
 use sfi_tensor::ops::{
     batch_norm, bn_channel_scale_shift, conv2d, conv2d_batched_from_lowered,
-    conv2d_channel_batched, conv2d_channel_from_lowered, conv2d_from_lowered, conv2d_kernel,
-    conv2d_with, gemm, gemm_blocked, gemm_micro, gemm_packed_rows, gemm_row, gemm_row_lanes,
-    im2col_lower, im2col_lower_batched, relu, relu6, BatchNormParams, Conv2dCfg, ConvEpilogue,
-    FusedActivation, GemmKernel, Padding, MICRO_MR, MICRO_NR, MICRO_NR1,
+    conv2d_channel_batched, conv2d_channel_depthwise, conv2d_channel_from_lowered, conv2d_direct,
+    conv2d_from_lowered, conv2d_kernel, conv2d_with, gemm, gemm_blocked, gemm_micro,
+    gemm_packed_rows, gemm_row, gemm_row_lanes, im2col_lower, im2col_lower_batched, relu, relu6,
+    BatchNormParams, Conv2dCfg, ConvEpilogue, FusedActivation, GemmKernel, Padding, MICRO_MR,
+    MICRO_NR, MICRO_NR1,
 };
 use sfi_tensor::{ScratchArena, Tensor};
 
@@ -269,8 +272,9 @@ proptest! {
         // Per-image unfused reference: lowered conv, then batch_norm, then
         // the activation — the exact legacy forward chain. (The reference
         // must stay in the im2col family: 1x1-channel draws would send
-        // `conv2d_kernel` down the direct depthwise loop, which skips
-        // padded taps and is only value-identical under NaN/Inf weights.)
+        // `conv2d_kernel` down a depthwise kernel, which skips padded taps
+        // where the im2col family multiplies explicit zeros — the two
+        // families differ at padded borders under NaN/Inf weights.)
         let in_data = input.as_slice();
         let img_len = c_in * size * size;
         let mut unfused_rows = Vec::new();
@@ -327,4 +331,128 @@ proptest! {
             assert_bits_equal(&per_image_channel, &probe);
         }
     }
+}
+
+proptest! {
+    // Tiny planes make a case cheap; many cases walk the width, stride,
+    // padding and special-placement grid.
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The vectorised depthwise kernel — allocating, arena-backed (twice,
+    /// so the second call reads stale recycled buffers) and the one-channel
+    /// probe kernel — is bit-identical to the scalar `conv2d_direct` loop,
+    /// which is also what `GemmKernel::Naive` runs. Widths 1–40 put
+    /// `w_out` below, at, and off every vector-lane multiple at strides 1
+    /// and 2; the specials land on corner taps, which padded border
+    /// pixels skip, and on input pixels (one NaN payload family per case).
+    #[test]
+    fn depthwise_matches_direct_bit_for_bit(
+        batch in 1usize..4,
+        channels in 1usize..6,
+        height in 1usize..7,
+        width in 1usize..41,
+        stride in 1usize..3,
+        kernel_pick in 0usize..3,
+        pad_pick in 0usize..3,
+        with_bias in any::<bool>(),
+        weight_special in 0usize..DW_SPECIALS.len() + 1,
+        corner in 0usize..5,
+        input_nan in any::<bool>(),
+        values in vec(-2.0f32..2.0, 4..12),
+        channel_pick in 0usize..8,
+    ) {
+        let kernel = [3usize, 1, 5][kernel_pick];
+        // At least the padding that fits the kernel into the plane.
+        let pad = [kernel / 2, 0, kernel][pad_pick]
+            .max(kernel.saturating_sub(height.min(width)).div_ceil(2));
+        let mut weight_vals = cycled(&values, channels * kernel * kernel, 5, 1);
+        // A special on one corner tap (`corner == 4`: all four) of every
+        // channel: border pixels skip exactly these taps.
+        if let Some(&bits) = DW_SPECIALS.get(weight_special) {
+            let k = kernel;
+            let corners = [0, k - 1, (k - 1) * k, k * k - 1];
+            for c in 0..channels {
+                for (i, &t) in corners.iter().enumerate() {
+                    if corner == 4 || corner == i {
+                        weight_vals[c * k * k + t] = f32::from_bits(bits);
+                    }
+                }
+            }
+        }
+        let mut input_vals = cycled(&values, batch * channels * height * width, 1, 0);
+        // NaN pixels on the border and inside, in one payload family with
+        // the weight special, as in a real single-fault campaign: the
+        // quietened payload of a NaN special, the default NaN when there
+        // is none, and none beside ±Inf/±MAX specials (whose `Inf - Inf`
+        // collisions yield the `0xFFC00000` indefinite). A chain holding
+        // two distinct payloads leaves the survivor to the compiled operand
+        // order of each kernel (see the bit-identity notes on `gemm`).
+        let input_nan_bits = match DW_SPECIALS.get(weight_special) {
+            None => Some(f32::NAN.to_bits()),
+            Some(&bits) if f32::from_bits(bits).is_nan() => Some(bits | 0x0040_0000),
+            Some(_) => None,
+        };
+        if let (true, Some(bits)) = (input_nan, input_nan_bits) {
+            for (i, v) in input_vals.iter_mut().enumerate() {
+                if i % 7 == 3 {
+                    *v = f32::from_bits(bits);
+                }
+            }
+        }
+        let input = Tensor::from_vec([batch, channels, height, width], input_vals).unwrap();
+        let weight = Tensor::from_vec([channels, 1, kernel, kernel], weight_vals).unwrap();
+        let bias_t = Tensor::from_vec([channels], cycled(&values, channels, 3, 2)).unwrap();
+        let bias = with_bias.then_some(&bias_t);
+        let cfg = Conv2dCfg { stride, padding: Padding::Explicit(pad), groups: channels };
+
+        let direct = conv2d_direct(&input, &weight, bias, cfg).unwrap();
+        let naive = conv2d_kernel(&input, &weight, bias, cfg, GemmKernel::Naive).unwrap();
+        assert_bits_equal(direct.as_slice(), naive.as_slice());
+        let fast = conv2d(&input, &weight, bias, cfg).unwrap();
+        assert_bits_equal(direct.as_slice(), fast.as_slice());
+        let mut arena = ScratchArena::new();
+        // Dirty the arena so the first call already sees stale buffers.
+        let junk = arena.take(direct.len() + width * 2 + 64);
+        arena.recycle(junk.into_iter().map(|_| f32::NAN).collect());
+        for _ in 0..2 {
+            let with_arena = conv2d_with(&input, &weight, bias, cfg, &mut arena).unwrap();
+            assert_bits_equal(direct.as_slice(), with_arena.as_slice());
+            arena.recycle(with_arena.into_vec());
+        }
+
+        let dims = direct.shape().dims().to_vec();
+        let spatial = dims[2] * dims[3];
+        let channel = channel_pick % channels;
+        for round in 0..2 {
+            let row = match round {
+                0 => conv2d_channel_depthwise(&input, &weight, bias, cfg, channel, None),
+                _ => conv2d_channel_depthwise(&input, &weight, bias, cfg, channel, Some(&mut arena)),
+            }
+            .unwrap();
+            prop_assert_eq!(row.len(), batch * spatial);
+            for n in 0..batch {
+                let want = &fast.as_slice()[(n * channels + channel) * spatial..][..spatial];
+                assert_bits_equal(want, &row[n * spatial..][..spatial]);
+            }
+            arena.recycle(row);
+        }
+        prop_assert!(
+            conv2d_channel_depthwise(&input, &weight, bias, cfg, channels, None).is_err(),
+            "out-of-range channel must be rejected"
+        );
+    }
+}
+
+/// Bit patterns a weight upset can leave on a depthwise tap: the default
+/// quiet NaN, a signalling NaN (quietened by the first multiply), a
+/// negative quiet NaN with a payload, ±Inf and ±MAX.
+const DW_SPECIALS: [u32; 7] =
+    [0x7fc0_0000, 0x7fa0_0000, 0xffc1_2345, 0x7f80_0000, 0xff80_0000, 0x7f7f_ffff, 0xff7f_ffff];
+
+#[test]
+fn one_channel_depthwise_rejects_non_depthwise_convs() {
+    let input = Tensor::full([1, 2, 4, 4], 1.0);
+    let weight = Tensor::full([2, 2, 3, 3], 1.0);
+    let cfg = Conv2dCfg::same(1);
+    assert!(conv2d_channel_depthwise(&input, &weight, None, cfg, 0, None).is_err());
 }

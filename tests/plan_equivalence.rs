@@ -351,3 +351,159 @@ proptest! {
         }
     }
 }
+
+/// Whether two per-image outcomes are identical: the same convergence
+/// node, or bit-identical logits.
+fn same_outcome(a: &ForwardOutcome, b: &ForwardOutcome) -> bool {
+    match (a, b) {
+        (ForwardOutcome::Logits(x), ForwardOutcome::Logits(y)) => x.bits_equal(y),
+        (x, y) => x == y,
+    }
+}
+
+/// Whether two batched outcomes are identical: per-image convergence
+/// nodes and bit-identical surviving logits.
+fn same_batched(a: &BatchedOutcome, b: &BatchedOutcome) -> bool {
+    let bits_eq = |x: &[f32], y: &[f32]| {
+        x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())
+    };
+    match (a, b) {
+        (BatchedOutcome::Logits(x), BatchedOutcome::Logits(y)) => x.bits_equal(y),
+        (
+            BatchedOutcome::Converging { converged_at: ca, logits: la, classes: na },
+            BatchedOutcome::Converging { converged_at: cb, logits: lb, classes: nb },
+        ) => ca == cb && na == nb && bits_eq(la, lb),
+        _ => false,
+    }
+}
+
+/// The one-channel depthwise probe on the paper's second network. Weight
+/// faults in every depthwise layer of the micro MobileNetV2 — mantissa,
+/// exponent and sign bits, on a centre tap and on a corner tap that padded
+/// border pixels skip — give per-image outcomes identical with the probe
+/// on and off, through the dense per-image pass and the batched engine,
+/// and campaigns classify them identically (classes and inference counts)
+/// on the dense and batched engines with convergence, and so the probe,
+/// on and off. A change in a channel the probe is not told about shows the
+/// probe arm is the one taken: only the probe can declare the node golden
+/// without evaluating that channel.
+#[test]
+fn depthwise_probe_is_invisible_on_mobilenet() {
+    let model = MobileNetV2Config::cifar_micro().build_seeded(5).unwrap();
+    let (data, golden) = campaign_world(&model, 16, 3);
+    let golden = golden.with_lowering(&model).unwrap();
+    let caches: Vec<_> = (0..golden.len()).map(|i| golden.cache(i).clone()).collect();
+    let plan = CompiledPlan::compile(&model, &caches[0]).unwrap();
+    let depthwise: Vec<(usize, usize)> = model
+        .weight_layers()
+        .iter()
+        .filter_map(|wl| {
+            let node = model.node_of_param(wl.param)?;
+            let sfi_nn::NodeOp::Conv { cfg, .. } = &model.nodes()[node].op else { return None };
+            let channels = model.store().get(wl.param).unwrap().tensor.shape().n();
+            (cfg.groups > 1 && cfg.groups == channels).then_some((wl.layer, channels))
+        })
+        .collect();
+    assert_eq!(depthwise.len(), 17, "MobileNetV2 has one depthwise conv per block");
+
+    let mut arena = ScratchArena::new();
+    let mut faults = Vec::new();
+    let mut probe_converged = 0usize;
+    for &(layer, channels) in &depthwise {
+        let param = model.weight_layers()[layer].param;
+        let first_dirty = model.node_of_param(param).unwrap();
+        for channel in [0, channels - 1] {
+            for tap in [0usize, 4] {
+                for bit in [2u8, 22, 23, 30, 31] {
+                    let weight = channel * 9 + tap;
+                    let fault = Fault {
+                        site: FaultSite { layer, weight, bit },
+                        model: FaultModel::BitFlip,
+                    };
+                    faults.push(fault);
+                    let mut faulty = model.clone();
+                    let slot =
+                        &mut faulty.store_mut().get_mut(param).unwrap().tensor.as_mut_slice()
+                            [weight];
+                    *slot = fault.apply_to(*slot);
+                    let unit = model.param_output_unit(param, weight);
+                    assert_eq!(unit, Some(channel));
+                    let ctx = format!("layer {layer} channel {channel} tap {tap} bit {bit}");
+                    for cache in &caches {
+                        let mut run = |dirty_unit| {
+                            let opts = &mut ForwardOptions {
+                                arena: Some(&mut arena),
+                                dirty_unit,
+                                converge: true,
+                                ..Default::default()
+                            };
+                            faulty.forward_from(Some(first_dirty), cache, &[], opts).unwrap()
+                        };
+                        let (probed, full) = (run(unit), run(None));
+                        assert!(same_outcome(&probed, &full), "{ctx}: dense outcome");
+                        if probed == (ForwardOutcome::Converged { at_node: first_dirty }) {
+                            probe_converged += 1;
+                        }
+                    }
+                    let mut batched = |dirty_unit| {
+                        plan.forward_batched_from(
+                            &faulty,
+                            first_dirty,
+                            &caches,
+                            None,
+                            dirty_unit,
+                            true,
+                            &mut arena,
+                        )
+                        .unwrap()
+                    };
+                    let (probed, full) = (batched(unit), batched(None));
+                    assert!(same_batched(&probed, &full), "{ctx}: batched outcome");
+                }
+            }
+        }
+    }
+    assert!(probe_converged > 0, "no depthwise fault converged at its own node");
+
+    // The probe arm is taken: channel 1 changes, the probe is told channel
+    // 0 — it declares the node golden at once; a full evaluation does not.
+    let (layer, _) = depthwise[0];
+    let param = model.weight_layers()[layer].param;
+    let first_dirty = model.node_of_param(param).unwrap();
+    let mut changed = model.clone();
+    changed.store_mut().get_mut(param).unwrap().tensor.as_mut_slice()[9 + 4] += 1.0;
+    let converged_at_node = ForwardOutcome::Converged { at_node: first_dirty };
+    for cache in &caches {
+        let run = |dirty_unit| {
+            let opts = &mut ForwardOptions { dirty_unit, converge: true, ..Default::default() };
+            changed.forward_from(Some(first_dirty), cache, &[], opts).unwrap()
+        };
+        assert_eq!(run(Some(0)), converged_at_node, "dense probe");
+        assert_ne!(run(None), converged_at_node, "dense full evaluation");
+    }
+    let mut converged_at = |dirty_unit| match plan
+        .forward_batched_from(&changed, first_dirty, &caches, None, dirty_unit, true, &mut arena)
+        .unwrap()
+    {
+        BatchedOutcome::Converging { converged_at, .. } => converged_at,
+        BatchedOutcome::Logits(_) => unreachable!("a converging pass"),
+    };
+    assert_eq!(converged_at(Some(0)), vec![Some(first_dirty); caches.len()], "batched probe");
+    assert_ne!(converged_at(None), vec![Some(first_dirty); caches.len()], "batched full");
+
+    // Campaign level: dense and batched engines, convergence (and so the
+    // probe) on and off, classify identically.
+    let run = |convergence, batched| {
+        let cfg = CampaignConfig { workers: 1, convergence, batched, ..Default::default() };
+        run_campaign(&model, &data, &golden, &faults, &cfg, &Ieee754Corruption).unwrap()
+    };
+    let reference = run(false, false);
+    for (convergence, batched) in [(true, false), (true, true), (false, true)] {
+        let res = run(convergence, batched);
+        assert_eq!(res.classes, reference.classes, "convergence={convergence} batched={batched}");
+        assert_eq!(
+            res.inferences, reference.inferences,
+            "convergence={convergence} batched={batched}"
+        );
+    }
+}
